@@ -26,7 +26,7 @@ pub struct ReportSummary {
     /// Aggregate-over-hosts rollup rows (`report --json fabric`).
     pub host_rollup: Vec<(String, f64)>,
     /// Scale-tier rows (`report --json fabric --scale`): simulated
-    /// distribution plus wall clocks, shard count and speedup.
+    /// distribution plus wall clocks and core count.
     pub scale: Vec<(String, f64)>,
 }
 
@@ -187,7 +187,7 @@ pub fn render_comparison(
     );
     flat_section(
         &mut out,
-        "scale tier (64-host star; *_us/sim_* rows are behavioral, wall/speedup are host time)",
+        "scale tier (64-host star; *_us/sim_* rows are behavioral, wall rows are host time)",
         "row",
         &a.scale,
         &b.scale,
@@ -325,35 +325,36 @@ mod tests {
     fn compares_the_scale_tier_section() {
         let a = parse_summary(FIXTURE_A);
         let b = parse_summary(FIXTURE_B);
-        // Scale rows parse into their own section (fixture A has no
-        // speedup probe — it ran serial).
-        assert_eq!(a.scale.len(), 9);
-        assert_eq!(b.scale.len(), 12);
-        assert_eq!(a.scale[0], ("shards".to_string(), 1.0));
+        // Scale rows parse into their own section (fixture A predates
+        // the peak_resident row).
+        assert_eq!(a.scale.len(), 8);
+        assert_eq!(b.scale.len(), 9);
+        assert_eq!(a.scale[0], ("cores".to_string(), 8.0));
         // ...and do not bleed into the fabric/host_rollup sections.
         assert_eq!(a.fabric.len(), 6);
         assert_eq!(a.host_rollup.len(), 3);
 
         let text = render_comparison("a.json", &a, "b.json", &b);
         assert!(text.contains("scale tier"), "{text}");
-        // Simulated scale rows are identical across shard counts.
+        // Simulated scale rows are identical between the runs.
         let p50 = text
             .lines()
             .find(|l| l.trim().starts_with("copy.p50_us"))
             .expect("scale row rendered");
         assert!(p50.contains("+0.000"), "{p50}");
-        // The wall clock dropped: 4-shard run is ~3x faster.
+        // The wall clock dropped: run B is ~3x faster.
         let wall = text
             .lines()
             .find(|l| l.trim().starts_with("copy.wall_s"))
             .unwrap();
         assert!(wall.contains("-66.7%"), "{wall}");
-        // Speedup only exists in B; rendered as absent-in-A.
-        let sp = text
+        // The resident high-water row only exists in B; rendered as
+        // absent-in-A.
+        let peak = text
             .lines()
-            .find(|l| l.trim().starts_with("speedup_vs_serial"))
+            .find(|l| l.trim().starts_with("copy.peak_resident"))
             .unwrap();
-        assert!(sp.contains("absent"), "{sp}");
+        assert!(peak.contains("absent"), "{peak}");
     }
 
     #[test]

@@ -45,22 +45,16 @@ impl World {
     ) {
         // The switch has buffered the cells, so the uplink credits go
         // back to the sender; the credit-return message crosses the
-        // wire back before it can wake a stalled transmit queue. In
-        // keyed mode the sender lane handles its own `CreditReturn`
-        // event (scheduled alongside this ingress) instead — this
-        // handler runs on the *destination's* lane and must not touch
-        // sender state.
-        if !self.keyed() {
-            self.hosts[from.idx()]
-                .adapter
-                .return_credits(vc, cells as u32);
-            if let Some(&front) = self.txq[from.idx()]
-                .get(u64::from(vc.0))
-                .and_then(VecDeque::front)
-            {
-                let wake = time + self.link.fixed_latency;
-                self.push_ev(wake, Event::Transmit { token: front });
-            }
+        // wire back before it can wake a stalled transmit queue.
+        self.hosts[from.idx()]
+            .adapter
+            .return_credits(vc, cells as u32);
+        if let Some(&front) = self.txq[from.idx()]
+            .get(u64::from(vc.0))
+            .and_then(VecDeque::front)
+        {
+            let wake = time + self.link.fixed_latency;
+            self.events.push(wake, Event::Transmit { token: front });
         }
 
         let FabricState::Switched(sw) = &mut self.fabric else {
@@ -114,10 +108,10 @@ impl World {
             }
         }
         if let Some(port) = first_drain {
-            self.push_ev(time, Event::PortDrain { port });
+            self.events.push(time, Event::PortDrain { port });
         }
         for port in more_drains {
-            self.push_ev(time, Event::PortDrain { port });
+            self.events.push(time, Event::PortDrain { port });
         }
     }
 
@@ -147,7 +141,8 @@ impl World {
                 // what keeps per-VC order intact across the hop).
                 // Credit returns wake the port directly; this retry
                 // covers starvation episodes with no returns coming.
-                self.push_ev(time + SimTime::from_us(50.0), Event::PortDrain { port });
+                self.events
+                    .push(time + SimTime::from_us(50.0), Event::PortDrain { port });
                 return;
             }
             let pdu = sw.pop(port, time).expect("head just inspected");
@@ -184,9 +179,8 @@ impl World {
                 tracer.clear_flow();
             }
             let arrival = wire_done + self.link.fixed_latency + dev_rx;
-            let src = HostId(pdu.src);
             match pdu.payload {
-                Some(wire) => self.push_ev(
+                Some(wire) => self.events.push(
                     arrival,
                     Event::Arrive {
                         to,
@@ -194,17 +188,15 @@ impl World {
                         pdu: wire,
                         sent_at: pdu.sent_at,
                         token: pdu.token,
-                        from: src,
                     },
                 ),
-                None => self.push_ev(
+                None => self.events.push(
                     arrival,
                     Event::ArriveDamaged {
                         to,
                         vc: Vc(vc),
                         token: pdu.token,
                         cells,
-                        from: src,
                     },
                 ),
             }

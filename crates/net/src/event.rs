@@ -40,6 +40,8 @@ pub struct EventQueue<E> {
     seq: u64,
     /// Lower bound on the virtual bucket index of every pending event.
     floor_vidx: u64,
+    /// Largest number of events ever pending at once.
+    peak_len: usize,
 }
 
 #[derive(Debug)]
@@ -58,6 +60,7 @@ impl<E> EventQueue<E> {
             len: 0,
             seq: 0,
             floor_vidx: 0,
+            peak_len: 0,
         }
     }
 
@@ -86,32 +89,7 @@ impl<E> EventQueue<E> {
         let idx = (v & self.mask()) as usize;
         self.buckets[idx].push(Entry { time, seq, event });
         self.len += 1;
-    }
-
-    /// Schedules `event` at `time` with a caller-supplied tie-break
-    /// key instead of the internal push counter. Sharded execution
-    /// uses this: the key is derived from the pushing lane's own
-    /// counter, so the pop order is a pure function of `(time, key)`
-    /// and identical no matter which shard (or thread) performed the
-    /// push. Mixing `push` and `push_keyed` on one queue is allowed
-    /// only if the caller guarantees the two key spaces never collide
-    /// at equal times; the sharded engine uses `push_keyed`
-    /// exclusively.
-    pub fn push_keyed(&mut self, time: SimTime, key: u64, event: E) {
-        if self.len + 1 > self.buckets.len() * 2 {
-            self.resize(self.buckets.len() * 2);
-        }
-        let v = self.vidx(time);
-        if self.len == 0 || v < self.floor_vidx {
-            self.floor_vidx = v;
-        }
-        let idx = (v & self.mask()) as usize;
-        self.buckets[idx].push(Entry {
-            time,
-            seq: key,
-            event,
-        });
-        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Pops the earliest event (FIFO among ties).
@@ -124,22 +102,6 @@ impl<E> EventQueue<E> {
             self.resize(self.buckets.len() / 2);
         }
         Some((e.time, e.event))
-    }
-
-    /// Pops the earliest event together with its tie-break key
-    /// (the push counter for `push`, the caller's key for
-    /// `push_keyed`). The sharded engine threads this key through so
-    /// completions produced while handling the event can be merged
-    /// back into the serial processing order.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        let (bucket, pos, vmin) = self.locate_min()?;
-        self.floor_vidx = vmin;
-        let e = self.buckets[bucket].swap_remove(pos);
-        self.len -= 1;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some((e.time, e.seq, e.event))
     }
 
     /// Time of the earliest pending event.
@@ -156,6 +118,12 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Largest number of events ever pending at once (the queue's
+    /// high-water mark).
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
     }
 
     /// Finds the minimum `(time, seq)` entry: `(bucket index, position
@@ -395,26 +363,6 @@ mod tests {
         }
     }
 
-    /// Keyed pushes pop by `(time, key)` regardless of push order —
-    /// the property the sharded mailbox exchange relies on (shards
-    /// deliver cross-shard events in arbitrary arrival order and the
-    /// queue re-establishes the canonical order).
-    #[test]
-    fn keyed_pushes_pop_by_key_not_push_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_us(9.0);
-        q.push_keyed(t, 30, "c");
-        q.push_keyed(t, 10, "a");
-        q.push_keyed(SimTime::from_us(1.0), 99, "first");
-        q.push_keyed(t, 20, "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop_entry()).collect();
-        assert_eq!(
-            order.iter().map(|e| e.2).collect::<Vec<_>>(),
-            ["first", "a", "b", "c"]
-        );
-        assert_eq!(order[0].1, 99);
-    }
-
     /// Pushing earlier than an already-popped instant must still pop
     /// correctly (the floor hint has to move backwards).
     #[test]
@@ -429,7 +377,7 @@ mod tests {
     }
 
     /// Exercise growth well past several resize thresholds and verify
-    /// a fully sorted drain.
+    /// a fully sorted drain; the high-water mark survives the drain.
     #[test]
     fn resize_churn_preserves_order() {
         let mut q = EventQueue::new();
@@ -446,5 +394,6 @@ mod tests {
             assert_eq!(pt, t);
         }
         assert!(q.is_empty());
+        assert_eq!(q.peak_len(), 5000);
     }
 }

@@ -431,49 +431,6 @@ impl Switch {
         self.ports[port as usize].max_depth
     }
 
-    /// Splits off a per-shard view of this switch for epoch-
-    /// synchronized sharded execution. Port `p`'s state (FIFO, busy
-    /// time, credits, counters, series) *moves* to the shard for which
-    /// `owner(p)` is true; every other port is left as a fresh dummy
-    /// in the returned switch. The routing table is shared read-only
-    /// (cloned — it is immutable after construction), so any shard can
-    /// resolve a route even for ports it does not own. Ingress
-    /// counters start at zero in the shard and are summed back by
-    /// [`Switch::absorb`].
-    pub fn split_ports(&mut self, owner: impl Fn(u16) -> bool) -> Switch {
-        let ports = (0..self.ports.len() as u16)
-            .map(|p| {
-                if owner(p) {
-                    std::mem::take(&mut self.ports[p as usize])
-                } else {
-                    Port::default()
-                }
-            })
-            .collect();
-        Switch {
-            routes: self.routes.clone(),
-            ports,
-            port_credit: self.port_credit,
-            pdus_ingress: 0,
-            pdus_replicated: 0,
-            observe: self.observe,
-        }
-    }
-
-    /// Re-absorbs a shard switch produced by [`Switch::split_ports`]:
-    /// ports the shard owned move back (their FIFOs must be drained —
-    /// sharded runs only re-join at quiescence), and ingress counters
-    /// are summed. `owner` must be the same predicate used at split.
-    pub fn absorb(&mut self, mut shard: Switch, owner: impl Fn(u16) -> bool) {
-        for p in 0..self.ports.len() as u16 {
-            if owner(p) {
-                self.ports[p as usize] = std::mem::take(&mut shard.ports[p as usize]);
-            }
-        }
-        self.pdus_ingress += shard.pdus_ingress;
-        self.pdus_replicated += shard.pdus_replicated;
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> SwitchStats {
         let mut s = SwitchStats {

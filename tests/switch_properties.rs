@@ -2,7 +2,7 @@
 //! model-differential harness (a harness bug must not be able to mask
 //! a fabric bug — this file drives `World` directly).
 //!
-//! Three invariants, each over randomized topologies and 100+ seeds
+//! Four invariants, each over randomized topologies and 100+ seeds
 //! (`GENIE_SWITCH_PROP_SEEDS` overrides the count):
 //!
 //! - **Conservation.** Every PDU injected at switch ingress is
@@ -18,6 +18,9 @@
 //! - **Credit bounds.** `(port, VC)` egress credits never exceed the
 //!   configured allotment, and every consumed credit is returned by
 //!   quiesce.
+//! - **Bounded event memory.** The event queue's high-water mark is
+//!   nonzero and at most eight pending events per routed copy, so an
+//!   event leak shows up as a blown bound rather than silent growth.
 
 use genie::{Allocation, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
 use genie_fault::XorShift64;
@@ -207,6 +210,13 @@ fn run_one(seed: u64) -> RunOutcome {
             );
         }
     }
+    // Each routed copy contributes a handful of events (transmit,
+    // ingress, drain, arrival, completion); a factor of 8 is generous.
+    let peak = w.peak_resident_events();
+    assert!(
+        peak > 0 && peak <= fanout_total * 8,
+        "seed {seed}: peak pending events {peak} for {fanout_total} routed copies"
+    );
     RunOutcome {
         sends: plan.len(),
         deliveries: done.len(),
