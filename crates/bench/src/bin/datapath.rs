@@ -11,11 +11,12 @@
 //! iterations (CI smoke); the default iteration counts give stable
 //! means on an idle machine.
 
-use genie::{measure_latency, ExperimentSetup, Semantics, SeriesContext};
+use genie::{measure_latency, ExperimentSetup, Semantics, SeriesContext, World, WorldConfig};
 use genie_bench::timing::{time_named, Timing};
 use genie_machine::{MachineSpec, SimTime};
 use genie_net::aal5;
 use genie_net::event::EventQueue;
+use genie_net::SwitchConfig;
 
 const PDU_60K: usize = 61_440;
 
@@ -167,6 +168,18 @@ fn main() {
             measure_latency(&setup, Semantics::Copy, PDU_60K).expect("exchange");
         },
     ));
+
+    // Construction of a 64-host star at the default 6,144 frames per
+    // host. The frame table grows on demand, so this stays flat in
+    // the frame budget; an eager table made it about ten times slower.
+    let star = WorldConfig::switched(
+        MachineSpec::micron_p166(),
+        64,
+        SwitchConfig::star(64, 0, 100, 256),
+    );
+    results.push(time_named("datapath/world_new_star64", iters(100), || {
+        std::hint::black_box(World::new(star.clone()));
+    }));
 
     // Flight-recorder overhead: one 8-host star fan-in with the full
     // observation stack on (tracing, switch port series, per-VC

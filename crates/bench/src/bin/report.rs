@@ -165,29 +165,6 @@ fn faulted_stats(seed: u64) -> Vec<(&'static str, u64)> {
     sums
 }
 
-/// Prints the `--profile` per-exhibit wall-clock table.
-fn print_profile(names: &[&str], samples: &[genie_runner::CellSample]) {
-    println!("# Profile: per-exhibit wall clock");
-    println!("  {:<12} {:>6} {:>10}", "exhibit", "worker", "wall_ms");
-    for s in samples {
-        let name = names.get(s.cell).copied().unwrap_or("?");
-        println!(
-            "  {:<12} {:>6} {:>10.3}",
-            name,
-            s.worker,
-            s.wall.as_secs_f64() * 1e3
-        );
-    }
-    let total: f64 = samples.iter().map(|s| s.wall.as_secs_f64() * 1e3).sum();
-    println!(
-        "  {} cells, {:.3} ms total cell time, {} worker threads",
-        samples.len(),
-        total,
-        genie_runner::configured_threads()
-    );
-    println!();
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--compare") {
@@ -332,6 +309,7 @@ fn main() {
     for (_name, text, _ms) in &rendered {
         println!("{text}\n");
     }
+    let fabric_t0 = Instant::now();
     // `report fabric --metrics` is the flight-recorder view: rollup
     // tables instead of the distribution exhibit. Plain `report
     // --metrics` (the canonical two-host inspection) is untouched.
@@ -349,8 +327,27 @@ fn main() {
         }
     }
     if profile {
-        let names: Vec<&str> = selected.iter().map(|(n, _)| *n).collect();
-        print_profile(&names, &genie_runner::take_profile());
+        // The exhibits' outermost sweep cells, then the fabric phase,
+        // which runs outside that sweep and is timed as a whole.
+        let mut rows: Vec<_> = genie_runner::take_profile()
+            .into_iter()
+            .map(|s| gen::timing::ProfileRow {
+                name: selected[s.cell].0.to_string(),
+                worker: Some(s.worker),
+                wall: s.wall,
+            })
+            .collect();
+        if want_fabric {
+            rows.push(gen::timing::ProfileRow {
+                name: "fabric".to_string(),
+                worker: None,
+                wall: fabric_t0.elapsed(),
+            });
+        }
+        println!(
+            "{}",
+            gen::timing::profile_table(&rows, genie_runner::configured_threads())
+        );
     }
     if want_metrics && !want_fabric {
         print!("{}", gen::inspect::metrics_json());

@@ -809,6 +809,24 @@ mod tests {
     }
 
     #[test]
+    fn star_construction_touches_only_the_overlay_pool_frames() {
+        // World construction must not scale with the frame budget:
+        // each host's table holds exactly the pre-filled overlay pool,
+        // and the rest of its 6,144 frames stay implicit.
+        let sw = genie_net::SwitchConfig::star(64, 0, 100, 256);
+        let cfg = WorldConfig::switched(MachineSpec::micron_p166(), 64, sw);
+        let (budget, pool) = (cfg.frames_per_host, cfg.genie.overlay_pool_pages);
+        assert_eq!((budget, pool), (6144, 64), "default sizes moved");
+        let w = World::new(cfg);
+        for h in 0..64 {
+            let phys = &w.host(HostId(h)).vm.phys;
+            assert_eq!(phys.existing_frames().len(), pool, "host {h}");
+            assert_eq!(phys.free_frames(), budget - pool, "host {h}");
+            assert_eq!(phys.total_frames(), budget, "host {h}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "exactly two hosts")]
     fn passthrough_rejects_extra_hosts() {
         let _ = World::new(WorldConfig {

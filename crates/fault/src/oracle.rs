@@ -105,11 +105,12 @@ impl Oracle {
     }
 
     /// Sweeps physical memory: I/O-deferred deallocation invariants.
+    /// Only frames that were ever allocated are visited: a
+    /// never-allocated frame is free with no I/O references, so it
+    /// can break neither invariant.
     pub fn check_frames(&mut self, site: &str, phys: &PhysMem) {
         self.checks += 1;
-        for i in 0..phys.total_frames() {
-            let id = FrameId(i as u32);
-            let Ok(f) = phys.frame(id) else { continue };
+        for (FrameId(i), f) in phys.existing_frames() {
             if f.state() == FrameState::Free && f.io_pending() {
                 self.flag(format!(
                     "{site}: frame {i} is free with live I/O references \
@@ -137,9 +138,7 @@ impl Oracle {
         // A frame with pending *input* is a DMA target: its owner must
         // still be live, or it must be kernel-owned (owner None). A
         // dead owner means pageout/COW handed the page away mid-DMA.
-        for i in 0..vm.phys.total_frames() {
-            let id = FrameId(i as u32);
-            let Ok(f) = vm.phys.frame(id) else { continue };
+        for (FrameId(i), f) in vm.phys.existing_frames() {
             if f.in_count() > 0 && f.state() == FrameState::Allocated {
                 if let Some(owner) = f.owner() {
                     let oid = ObjectId(owner as u32);

@@ -65,10 +65,10 @@ impl Frame {
     }
 
     /// Creates a free frame with no page storage attached yet.
-    /// `PhysMem` builds its frame array out of these and attaches
-    /// storage on first allocation, so a world only pays for the
-    /// frames it actually touches — most of a world's frame budget is
-    /// headroom that stays on the free list for its whole life.
+    /// `PhysMem` appends one of these to its table the first time an
+    /// id is allocated and attaches storage right then, so a world
+    /// only pays for the frames it actually touches — most of a
+    /// world's frame budget is headroom that is never allocated.
     pub(crate) fn unbacked() -> Self {
         Frame {
             data: Box::default(),

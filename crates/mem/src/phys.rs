@@ -3,7 +3,13 @@
 use crate::error::MemError;
 use crate::frame::{Frame, FrameId, FrameState, IoDir};
 
-/// Simulated physical memory: a frame array plus a LIFO free list.
+/// Simulated physical memory: a frame table grown on demand plus a
+/// LIFO free list of returned frames.
+///
+/// Only frames that have ever been allocated exist in the table; the
+/// rest of the configured capacity is implicit. A never-allocated id
+/// below capacity reads as a free frame with no page storage, so
+/// building a `PhysMem` costs nothing that grows with its capacity.
 ///
 /// Deallocation is **I/O-deferred** (paper Section 3.1): a frame with
 /// nonzero input or output reference count is never placed on the free
@@ -12,8 +18,16 @@ use crate::frame::{Frame, FrameId, FrameState, IoDir};
 #[derive(Clone, Debug)]
 pub struct PhysMem {
     page_size: usize,
+    /// Configured frame count; ids `frames.len()..capacity` have never
+    /// been allocated.
+    capacity: usize,
+    /// Frames that have ever been allocated, indexed by id.
     frames: Vec<Frame>,
+    /// Returned frames, reused LIFO before any never-allocated id.
     free: Vec<FrameId>,
+    /// What [`PhysMem::frame`] shows for a never-allocated id: a free
+    /// frame with no storage.
+    untouched: Frame,
     deferred_frees: u64,
     allocs: u64,
     deallocs: u64,
@@ -33,20 +47,19 @@ impl Drop for PhysMem {
 }
 
 impl PhysMem {
-    /// Creates `frames` frames of `page_size` bytes each. Page
-    /// storage is attached lazily on first allocation of each frame,
-    /// so the (generous) frame budget of a world costs nothing until
-    /// used.
+    /// Creates a memory of `frames` frames of `page_size` bytes each.
+    /// Frame headers and page storage are both created on first
+    /// allocation, so the (generous) frame budget of a world costs
+    /// nothing until used.
     pub fn new(page_size: usize, frames: usize) -> Self {
         assert!(page_size.is_power_of_two(), "page size must be 2^n");
-        let frames_vec: Vec<Frame> = (0..frames).map(|_| Frame::unbacked()).collect();
-        // LIFO pop order: highest id first, matching a freshly built
-        // free list.
-        let free = (0..frames as u32).rev().map(FrameId).collect();
+        assert!(frames <= u32::MAX as usize, "frame ids are 32-bit");
         PhysMem {
             page_size,
-            frames: frames_vec,
-            free,
+            capacity: frames,
+            frames: Vec::new(),
+            free: Vec::new(),
+            untouched: Frame::unbacked(),
             deferred_frees: 0,
             allocs: 0,
             deallocs: 0,
@@ -59,14 +72,25 @@ impl PhysMem {
         self.page_size
     }
 
-    /// Total number of frames.
+    /// Total number of frames (the configured capacity).
     pub fn total_frames(&self) -> usize {
-        self.frames.len()
+        self.capacity
     }
 
-    /// Number of frames currently on the free list.
+    /// Number of frames not in use: returned frames plus those never
+    /// allocated.
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.free.len() + (self.capacity - self.frames.len())
+    }
+
+    /// The frames that have ever been allocated, in id order. Every
+    /// other id below capacity is a free frame with no storage and no
+    /// I/O references.
+    pub fn existing_frames(&self) -> impl ExactSizeIterator<Item = (FrameId, &Frame)> {
+        self.frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (FrameId(i as u32), f))
     }
 
     /// Number of deallocations that had to be deferred because I/O was
@@ -85,28 +109,41 @@ impl PhysMem {
         self.deallocs
     }
 
-    /// High-water mark of frames simultaneously off the free list.
+    /// High-water mark of frames simultaneously in use.
     pub fn peak_in_use(&self) -> usize {
         self.peak_in_use
     }
 
-    /// Fraction of frames still on the free list, in per-mille (0..=1000).
+    /// Fraction of frames not in use, in per-mille (0..=1000).
     ///
     /// Integer units keep the value exactly reproducible across platforms;
     /// callers that throttle on memory pressure (the CQ adaptive window)
     /// compare against a per-mille threshold instead of a float.
     pub fn free_per_mille(&self) -> u32 {
-        if self.frames.is_empty() {
+        if self.capacity == 0 {
             return 0;
         }
-        (self.free.len() * 1000 / self.frames.len()) as u32
+        (self.free_frames() * 1000 / self.capacity) as u32
     }
 
     /// Allocates a frame (contents undefined — whatever the previous
     /// owner left there, exactly the hazard the paper's zeroing and
     /// deferred deallocation guard against).
+    ///
+    /// Returned frames are reused LIFO; only when none is left does
+    /// the table grow by the next never-allocated id. That is the
+    /// order an eagerly built free list `[n-1, …, 0]` hands ids out
+    /// in, so every id a simulation sees is independent of the table
+    /// being lazy.
     pub fn alloc(&mut self, owner: Option<u64>) -> Result<FrameId, MemError> {
-        let id = self.free.pop().ok_or(MemError::OutOfFrames)?;
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None if self.frames.len() < self.capacity => {
+                self.frames.push(Frame::unbacked());
+                FrameId((self.frames.len() - 1) as u32)
+            }
+            None => return Err(MemError::OutOfFrames),
+        };
         let page_size = self.page_size;
         let f = &mut self.frames[id.0 as usize];
         debug_assert_eq!(f.state(), FrameState::Free);
@@ -131,7 +168,7 @@ impl PhysMem {
     /// Deallocates a frame. If I/O is pending the frame becomes a
     /// zombie and is freed by the last [`PhysMem::unref_io`].
     pub fn dealloc(&mut self, id: FrameId) -> Result<(), MemError> {
-        let f = self.frame_mut(id)?;
+        let f = self.existing_mut(id, MemError::DoubleFree(id))?;
         match f.state() {
             FrameState::Free => return Err(MemError::DoubleFree(id)),
             FrameState::Zombie => return Err(MemError::DoubleFree(id)),
@@ -176,7 +213,7 @@ impl PhysMem {
     /// Drops one pending I/O reference; frees the frame if it was a
     /// zombie and this was its last reference.
     pub fn unref_io(&mut self, id: FrameId, dir: IoDir) -> Result<(), MemError> {
-        let f = self.frame_mut(id)?;
+        let f = self.existing_mut(id, MemError::RefUnderflow(id))?;
         f.drop_ref(dir).map_err(|()| MemError::RefUnderflow(id))?;
         if f.state() == FrameState::Zombie && !f.io_pending() {
             f.set_state(FrameState::Free);
@@ -185,16 +222,35 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Shared access to a frame.
+    /// Shared access to a frame. A never-allocated id below capacity
+    /// reads as a free frame with no storage.
     pub fn frame(&self, id: FrameId) -> Result<&Frame, MemError> {
-        self.frames.get(id.0 as usize).ok_or(MemError::BadFrame(id))
+        let i = id.0 as usize;
+        match self.frames.get(i) {
+            Some(f) => Ok(f),
+            None if i < self.capacity => Ok(&self.untouched),
+            None => Err(MemError::BadFrame(id)),
+        }
     }
 
-    /// Mutable access to a frame.
+    /// Mutable access to a frame. A never-allocated id below capacity
+    /// has nothing to mutate and reports [`MemError::NotAllocated`].
     pub fn frame_mut(&mut self, id: FrameId) -> Result<&mut Frame, MemError> {
-        self.frames
-            .get_mut(id.0 as usize)
-            .ok_or(MemError::BadFrame(id))
+        self.existing_mut(id, MemError::NotAllocated(id))
+    }
+
+    /// Mutable access to a frame in the table. A never-allocated id
+    /// below capacity reports `untouched`: the error the caller's
+    /// operation gives on a free frame.
+    fn existing_mut(&mut self, id: FrameId, untouched: MemError) -> Result<&mut Frame, MemError> {
+        let i = id.0 as usize;
+        if i < self.frames.len() {
+            Ok(&mut self.frames[i])
+        } else if i < self.capacity {
+            Err(untouched)
+        } else {
+            Err(MemError::BadFrame(id))
+        }
     }
 
     /// Reads `len` bytes at `offset` within frame `id`.
@@ -226,9 +282,8 @@ impl PhysMem {
             return Ok(());
         }
         let (a, b) = (src.0 as usize, dst.0 as usize);
-        if a.max(b) >= self.frames.len() {
-            return Err(MemError::BadFrame(FrameId(a.max(b) as u32)));
-        }
+        // A never-allocated or out-of-range id has no bytes to copy.
+        self.frame_mut(FrameId(a.max(b) as u32))?;
         // Split the frame array to borrow source and destination
         // simultaneously.
         let (lo, hi) = self.frames.split_at_mut(a.max(b));

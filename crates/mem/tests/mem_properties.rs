@@ -206,3 +206,195 @@ fn run_case(case: usize, ops: Vec<MemOp>) {
         assert!(zombies <= FRAMES);
     }
 }
+
+/// The allocator as it was built before the frame table grew on
+/// demand: every frame header exists from the start and the free list
+/// starts as `[n-1, …, 0]`, used LIFO. The lazy table must agree with
+/// it on every id, error and counter.
+struct EagerReference {
+    /// `(state, in_count, out_count)` per frame.
+    frames: Vec<(FrameState, u16, u16)>,
+    free: Vec<FrameId>,
+    peak_in_use: usize,
+}
+
+impl EagerReference {
+    fn new(n: usize) -> Self {
+        EagerReference {
+            frames: vec![(FrameState::Free, 0, 0); n],
+            free: (0..n as u32).rev().map(FrameId).collect(),
+            peak_in_use: 0,
+        }
+    }
+
+    fn get(&mut self, id: FrameId) -> Result<&mut (FrameState, u16, u16), MemError> {
+        self.frames
+            .get_mut(id.0 as usize)
+            .ok_or(MemError::BadFrame(id))
+    }
+
+    fn free_per_mille(&self) -> u32 {
+        (self.free.len() * 1000 / self.frames.len()) as u32
+    }
+
+    fn alloc(&mut self) -> Result<FrameId, MemError> {
+        let id = self.free.pop().ok_or(MemError::OutOfFrames)?;
+        self.frames[id.0 as usize].0 = FrameState::Allocated;
+        self.peak_in_use = self.peak_in_use.max(self.frames.len() - self.free.len());
+        Ok(id)
+    }
+
+    fn dealloc(&mut self, id: FrameId) -> Result<(), MemError> {
+        let f = self.get(id)?;
+        if f.0 != FrameState::Allocated {
+            return Err(MemError::DoubleFree(id));
+        }
+        if f.1 > 0 || f.2 > 0 {
+            f.0 = FrameState::Zombie;
+        } else {
+            f.0 = FrameState::Free;
+            self.free.push(id);
+        }
+        Ok(())
+    }
+
+    fn adopt(&mut self, id: FrameId) -> Result<(), MemError> {
+        let f = self.get(id)?;
+        if f.0 == FrameState::Free {
+            return Err(MemError::NotAllocated(id));
+        }
+        f.0 = FrameState::Allocated;
+        Ok(())
+    }
+
+    fn ref_io(&mut self, id: FrameId, dir: IoDir) -> Result<(), MemError> {
+        let f = self.get(id)?;
+        if f.0 == FrameState::Free {
+            return Err(MemError::NotAllocated(id));
+        }
+        let c = if dir == IoDir::Input {
+            &mut f.1
+        } else {
+            &mut f.2
+        };
+        *c = c.checked_add(1).ok_or(MemError::RefOverflow(id))?;
+        Ok(())
+    }
+
+    fn unref_io(&mut self, id: FrameId, dir: IoDir) -> Result<(), MemError> {
+        let f = self.get(id)?;
+        let c = if dir == IoDir::Input {
+            &mut f.1
+        } else {
+            &mut f.2
+        };
+        *c = c.checked_sub(1).ok_or(MemError::RefUnderflow(id))?;
+        if f.0 == FrameState::Zombie && f.1 == 0 && f.2 == 0 {
+            f.0 = FrameState::Free;
+            self.free.push(id);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn lazy_frame_table_matches_the_eager_reference() {
+    const FRAMES: usize = 20;
+    let mut rng = Rng::new(13);
+    for case in 0..300 {
+        let mut lazy = PhysMem::new(4096, FRAMES);
+        let mut eager = EagerReference::new(FRAMES);
+        for step in 0..rng.range(1, 160) {
+            // Ids reach past capacity so the never-allocated and the
+            // out-of-range cases are both drawn often.
+            let id = FrameId(rng.range(0, FRAMES + 3) as u32);
+            let dir = if rng.flip() {
+                IoDir::Input
+            } else {
+                IoDir::Output
+            };
+            let (got, want) = match rng.range(0, 9) {
+                0..=2 => (lazy.alloc(Some(1)), eager.alloc()),
+                3..=4 => (
+                    lazy.dealloc(id).map(|()| id),
+                    eager.dealloc(id).map(|()| id),
+                ),
+                5 => (
+                    lazy.adopt(id, Some(2)).map(|()| id),
+                    eager.adopt(id).map(|()| id),
+                ),
+                6..=7 => (
+                    lazy.ref_io(id, dir).map(|()| id),
+                    eager.ref_io(id, dir).map(|()| id),
+                ),
+                _ => (
+                    lazy.unref_io(id, dir).map(|()| id),
+                    eager.unref_io(id, dir).map(|()| id),
+                ),
+            };
+            let at = format!("case {case} step {step}");
+            assert_eq!(got, want, "{at}: result");
+            assert_eq!(lazy.free_frames(), eager.free.len(), "{at}: free_frames");
+            assert_eq!(
+                lazy.free_per_mille(),
+                eager.free_per_mille(),
+                "{at}: free_per_mille"
+            );
+            assert_eq!(lazy.peak_in_use(), eager.peak_in_use, "{at}: peak_in_use");
+            assert_eq!(lazy.total_frames(), FRAMES, "{at}: total_frames");
+            for i in 0..FRAMES as u32 + 3 {
+                let id = FrameId(i);
+                match (lazy.frame(id), eager.frames.get(i as usize)) {
+                    (Ok(f), Some(&(state, ins, outs))) => {
+                        assert_eq!(
+                            (f.state(), f.in_count(), f.out_count()),
+                            (state, ins, outs),
+                            "{at}: frame {id:?}"
+                        );
+                    }
+                    (Err(e), None) => assert_eq!(e, MemError::BadFrame(id), "{at}"),
+                    (got, want) => panic!("{at}: frame {id:?}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn never_allocated_ids_behave_as_free_frames() {
+    let mut mem = PhysMem::new(4096, 8);
+    let first = mem.alloc(None).expect("alloc");
+    assert_eq!(first, FrameId(0), "ids are handed out lowest first");
+    assert_eq!(mem.existing_frames().len(), 1);
+    let untouched = FrameId(5);
+    let f = mem.frame(untouched).expect("below capacity");
+    assert_eq!(f.state(), FrameState::Free);
+    assert!(
+        f.data().is_empty(),
+        "a never-allocated frame has no storage"
+    );
+    assert!(!f.io_pending());
+    assert_eq!(mem.dealloc(untouched), Err(MemError::DoubleFree(untouched)));
+    assert_eq!(
+        mem.ref_io(untouched, IoDir::Input),
+        Err(MemError::NotAllocated(untouched))
+    );
+    assert_eq!(
+        mem.adopt(untouched, None),
+        Err(MemError::NotAllocated(untouched))
+    );
+    assert_eq!(
+        mem.unref_io(untouched, IoDir::Output),
+        Err(MemError::RefUnderflow(untouched))
+    );
+    let beyond = FrameId(8);
+    assert_eq!(mem.frame(beyond).err(), Some(MemError::BadFrame(beyond)));
+    assert_eq!(mem.dealloc(beyond), Err(MemError::BadFrame(beyond)));
+    assert_eq!(
+        mem.unref_io(beyond, IoDir::Input),
+        Err(MemError::BadFrame(beyond))
+    );
+    // None of the rejected calls grew the table.
+    assert_eq!(mem.existing_frames().len(), 1);
+    assert_eq!(mem.free_frames(), 7);
+}
