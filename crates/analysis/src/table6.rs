@@ -51,39 +51,30 @@ pub fn measure_primitive_costs(machine: MachineSpec, link: LinkSpec) -> Vec<OpFi
 /// The uncached instrumented sweep behind [`measure_primitive_costs`].
 fn instrument_primitive_costs(machine: &MachineSpec, link: &LinkSpec) -> Vec<OpFit> {
     let sizes = fit_sizes(machine.page_size);
-    // Each (scheme, semantics) pair is an independent instrumented
-    // sweep; fan them out to the worker pool and merge the samples in
-    // cell order, which keeps the fits identical to the serial nested
-    // loops at any thread count.
-    let schemes = [
+    let mut by_op: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
+    for scheme in [
         BufferingScheme::EarlyDemux,
         BufferingScheme::PooledAligned,
         BufferingScheme::PooledUnaligned,
-    ];
-    let cells: Vec<(BufferingScheme, Semantics)> = schemes
-        .iter()
-        .flat_map(|&sch| Semantics::ALL.iter().map(move |&sem| (sch, sem)))
-        .collect();
-    let per_cell = genie_runner::map(&cells, |&(scheme, sem)| {
+    ] {
         let mut setup = scheme.setup(machine.clone(), link.clone());
         // Disable copy-conversion so the pure op mix is observed at
         // every size.
         setup.genie = setup.genie.without_thresholds();
-        let mut ctx = SeriesContext::new(&setup, &sizes);
-        let mut points: Vec<(u32, f64, f64)> = Vec::new();
-        for &b in &sizes {
-            let (_lat, samples) = ctx
-                .measure_latency_recorded(sem, b)
-                .expect("instrumented run");
-            for s in samples {
-                points.push((s.op.id(), s.bytes as f64, s.cost.as_us()));
+        for sem in Semantics::ALL {
+            let mut ctx = SeriesContext::new(&setup, &sizes);
+            for &b in &sizes {
+                let (_lat, samples) = ctx
+                    .measure_latency_recorded(sem, b)
+                    .expect("instrumented run");
+                for s in samples {
+                    by_op
+                        .entry(s.op.id())
+                        .or_default()
+                        .push((s.bytes as f64, s.cost.as_us()));
+                }
             }
         }
-        points
-    });
-    let mut by_op: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
-    for (id, bytes, cost) in per_cell.into_iter().flatten() {
-        by_op.entry(id).or_default().push((bytes, cost));
     }
     let mut out = Vec::new();
     for (id, points) in by_op {

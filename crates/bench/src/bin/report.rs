@@ -24,10 +24,13 @@
 //! star pushing `GENIE_SCALE_DATAGRAMS` (default 125 000) datagrams
 //! per semantics — one million total.
 //!
-//! Selected exhibits are computed in parallel on the genie-runner
-//! worker pool (thread count from `--threads`, else `GENIE_THREADS`,
-//! else the machine's parallelism) and printed in their canonical
-//! order, so the output is byte-identical to a serial run.
+//! Selected exhibits run one after another on the main thread, in
+//! their canonical order: each is a few milliseconds of two-host
+//! exchanges, too little work for thread fan-out to pay. `--threads`
+//! (else `GENIE_THREADS`, else the machine's parallelism) sets the
+//! genie-runner worker count for the `fabric` suites, whose per-
+//! semantics worlds are large enough to gain from it. Output is
+//! byte-identical at any thread count.
 
 use std::time::Instant;
 
@@ -80,10 +83,13 @@ fn json_escape(s: &str) -> String {
 /// simulated numbers recorded alongside the wall-clock timings.
 fn simulated_summary() -> Vec<(String, f64)> {
     let setup = genie::ExperimentSetup::early_demux(MachineSpec::micron_p166());
-    genie_runner::map(&genie::Semantics::ALL, |&sem| {
-        let lat = genie::measure_latency(&setup, sem, 61_440).expect("measure");
-        (sem.label().to_string(), lat.as_us())
-    })
+    genie::Semantics::ALL
+        .iter()
+        .map(|&sem| {
+            let lat = genie::measure_latency(&setup, sem, 61_440).expect("measure");
+            (sem.label().to_string(), lat.as_us())
+        })
+        .collect()
 }
 
 /// Fault-injection seed for the `--json` fault-stats section:
@@ -251,7 +257,7 @@ fn main() {
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
     let m = MachineSpec::micron_p166;
 
-    type Exhibit = (&'static str, Box<dyn Fn() -> String + Sync>);
+    type Exhibit = (&'static str, Box<dyn Fn() -> String>);
     let exhibits: Vec<Exhibit> = vec![
         ("table1", Box::new(gen::table1)),
         ("fig1", Box::new(gen::figure1)),
@@ -291,22 +297,18 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Compute in parallel, print in canonical order.
-    if profile {
-        genie_runner::set_profiling(true);
-        let _ = genie_runner::take_profile();
-    }
+    // Render in canonical order, timing each exhibit, then print.
     let t0 = Instant::now();
-    let rendered = genie_runner::map(&selected, |(name, f)| {
-        let t = Instant::now();
-        let text = f();
-        (*name, text, t.elapsed().as_secs_f64() * 1e3)
-    });
+    let rendered: Vec<_> = selected
+        .iter()
+        .map(|(name, f)| {
+            let t = Instant::now();
+            let text = f();
+            (*name, text, t.elapsed())
+        })
+        .collect();
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if profile {
-        genie_runner::set_profiling(false);
-    }
-    for (_name, text, _ms) in &rendered {
+    for (_name, text, _wall) in &rendered {
         println!("{text}\n");
     }
     let fabric_t0 = Instant::now();
@@ -327,27 +329,20 @@ fn main() {
         }
     }
     if profile {
-        // The exhibits' outermost sweep cells, then the fabric phase,
-        // which runs outside that sweep and is timed as a whole.
-        let mut rows: Vec<_> = genie_runner::take_profile()
-            .into_iter()
-            .map(|s| gen::timing::ProfileRow {
-                name: selected[s.cell].0.to_string(),
-                worker: Some(s.worker),
-                wall: s.wall,
+        let mut rows: Vec<_> = rendered
+            .iter()
+            .map(|(name, _text, wall)| gen::timing::ProfileRow {
+                name: name.to_string(),
+                wall: *wall,
             })
             .collect();
         if want_fabric {
             rows.push(gen::timing::ProfileRow {
                 name: "fabric".to_string(),
-                worker: None,
                 wall: fabric_t0.elapsed(),
             });
         }
-        println!(
-            "{}",
-            gen::timing::profile_table(&rows, genie_runner::configured_threads())
-        );
+        println!("{}", gen::timing::profile_table(&rows));
     }
     if want_metrics && !want_fabric {
         print!("{}", gen::inspect::metrics_json());
@@ -366,11 +361,11 @@ fn main() {
             total_ms
         ));
         out.push_str("  \"exhibits\": [\n");
-        for (i, (name, _text, ms)) in rendered.iter().enumerate() {
+        for (i, (name, _text, wall)) in rendered.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"wall_ms\": {:.3}}}{}\n",
                 json_escape(name),
-                ms,
+                wall.as_secs_f64() * 1e3,
                 if i + 1 < rendered.len() { "," } else { "" }
             ));
         }

@@ -44,17 +44,18 @@ fn series_for(
     sizes: &[usize],
     semantics: &[Semantics],
 ) -> Vec<(String, Vec<(f64, f64)>)> {
-    // One cell per semantics; each worker's nested latency_sweep runs
-    // inline, reusing a single World across all its sizes.
-    genie_runner::map(semantics, |&s| {
-        let pts = latency_sweep(setup, s, sizes);
-        (
-            s.label().to_string(),
-            pts.iter()
-                .map(|p| (p.bytes as f64, p.latency.as_us()))
-                .collect(),
-        )
-    })
+    semantics
+        .iter()
+        .map(|&s| {
+            let pts = latency_sweep(setup, s, sizes);
+            (
+                s.label().to_string(),
+                pts.iter()
+                    .map(|p| (p.bytes as f64, p.latency.as_us()))
+                    .collect(),
+            )
+        })
+        .collect()
 }
 
 /// Table 1: LAN bandwidth history (static data from the paper).
@@ -237,16 +238,19 @@ fn throughput_note(series: &[(String, Vec<(f64, f64)>)], at: usize) -> String {
 pub fn figure4(machine: MachineSpec) -> String {
     let setup = ExperimentSetup::early_demux(machine);
     let sizes: Vec<usize> = [1, 3, 5, 8, 11, 15].iter().map(|i| i * 4096).collect();
-    let series: Vec<(String, Vec<(f64, f64)>)> = genie_runner::map(&Semantics::ALL, |&s| {
-        let pts: Vec<(f64, f64)> = sizes
-            .iter()
-            .map(|&b| {
-                let (_lat, util) = measure_ping_pong(&setup, s, b, 4).expect("ping-pong");
-                (b as f64, util * 100.0)
-            })
-            .collect();
-        (s.label().to_string(), pts)
-    });
+    let series: Vec<(String, Vec<(f64, f64)>)> = Semantics::ALL
+        .iter()
+        .map(|&s| {
+            let pts: Vec<(f64, f64)> = sizes
+                .iter()
+                .map(|&b| {
+                    let (_lat, util) = measure_ping_pong(&setup, s, b, 4).expect("ping-pong");
+                    (b as f64, util * 100.0)
+                })
+                .collect();
+            (s.label().to_string(), pts)
+        })
+        .collect();
     render_series(
         "Figure 4: CPU utilization (%) vs datagram bytes, early demultiplexing",
         "bytes",
@@ -320,27 +324,15 @@ pub fn table7(machine: MachineSpec) -> String {
         BufferingScheme::PooledAligned,
         BufferingScheme::PooledUnaligned,
     ];
-    // The measured ("A") lines are full latency sweeps: one cell per
-    // (semantics, scheme) pair on the worker pool.
-    let cells: Vec<(Semantics, BufferingScheme)> = Semantics::ALL
-        .iter()
-        .flat_map(|&sem| schemes.iter().map(move |&sch| (sem, sch)))
-        .collect();
-    let fits = genie_runner::map(&cells, |&(sem, scheme)| {
-        let e = estimate_line(&model, &link, sem, scheme);
-        let a = measure_line(machine.clone(), link.clone(), sem, scheme);
-        (
-            format!("{:.4} B + {:.0}", e.fit.slope, e.fit.intercept),
-            format!("{:.4} B + {:.0}", a.fit.slope, a.fit.intercept),
-        )
-    });
     let mut rows = Vec::new();
-    for (i, sem) in Semantics::ALL.iter().enumerate() {
+    for sem in Semantics::ALL {
         let mut e_row = vec![sem.label().to_string(), "E".to_string()];
         let mut a_row = vec![String::new(), "A".to_string()];
-        for (e, a) in &fits[i * schemes.len()..(i + 1) * schemes.len()] {
-            e_row.push(e.clone());
-            a_row.push(a.clone());
+        for scheme in schemes {
+            let e = estimate_line(&model, &link, sem, scheme);
+            let a = measure_line(machine.clone(), link.clone(), sem, scheme);
+            e_row.push(format!("{:.4} B + {:.0}", e.fit.slope, e.fit.intercept));
+            a_row.push(format!("{:.4} B + {:.0}", a.fit.slope, a.fit.intercept));
         }
         rows.push(e_row);
         rows.push(a_row);
@@ -484,10 +476,9 @@ pub fn breakdown_waterfall(machine: MachineSpec) -> String {
     setup.genie = setup.genie.without_thresholds();
     let mut out =
         String::from("# Latency breakdown: per-op charges of one 60 KB exchange (early demux)\n");
-    let recorded = genie_runner::map(&Semantics::ALL, |&sem| {
-        measure_latency_recorded(&setup, sem, 61_440).expect("instrumented run")
-    });
-    for (sem, (lat, samples)) in Semantics::ALL.iter().zip(recorded) {
+    for sem in Semantics::ALL {
+        let (lat, samples) =
+            measure_latency_recorded(&setup, sem, 61_440).expect("instrumented run");
         out.push_str(&format!(
             "\n## {} — end-to-end {:.0} us\n",
             sem.label(),

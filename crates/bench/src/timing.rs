@@ -67,39 +67,26 @@ pub fn bench<F: FnMut()>(name: &str, iters: u32, f: F) {
 pub struct ProfileRow {
     /// Exhibit or phase name.
     pub name: String,
-    /// Sweep worker that ran the cell; `None` for a phase timed on the
-    /// calling thread outside the sweep (the fabric exhibits).
-    pub worker: Option<usize>,
     /// Wall-clock time, host time (not simulated time).
     pub wall: Duration,
 }
 
 /// Renders the `report --profile` wall-clock table: one line per row,
 /// then the row count and total.
-pub fn profile_table(rows: &[ProfileRow], threads: usize) -> String {
+pub fn profile_table(rows: &[ProfileRow]) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut out = String::from("# Profile: per-exhibit wall clock\n");
-    out.push_str(&format!(
-        "  {:<12} {:>6} {:>10}\n",
-        "exhibit", "worker", "wall_ms"
-    ));
+    out.push_str(&format!("  {:<12} {:>10}\n", "exhibit", "wall_ms"));
     for r in rows {
-        let worker = r.worker.map_or_else(|| "-".to_string(), |w| w.to_string());
-        out.push_str(&format!(
-            "  {:<12} {:>6} {:>10.3}\n",
-            r.name,
-            worker,
-            ms(r.wall)
-        ));
+        out.push_str(&format!("  {:<12} {:>10.3}\n", r.name, ms(r.wall)));
     }
     // Summed as a `Duration`: an empty `f64` sum is -0.0, which would
     // print as "-0.000".
     let total: Duration = rows.iter().map(|r| r.wall).sum();
     out.push_str(&format!(
-        "  {} rows, {:.3} ms total, {} worker threads\n",
+        "  {} rows, {:.3} ms total\n",
         rows.len(),
-        ms(total),
-        threads
+        ms(total)
     ));
     out
 }
@@ -120,33 +107,22 @@ mod tests {
 
     #[test]
     fn profile_table_lists_phases_and_never_prints_negative_zero() {
-        let empty = profile_table(&[], 2);
+        let empty = profile_table(&[]);
         assert!(empty.contains("0 rows, 0.000 ms total"), "{empty}");
         let rows = [
             ProfileRow {
                 name: "fig3".into(),
-                worker: Some(1),
                 wall: Duration::from_micros(1_500),
             },
             ProfileRow {
                 name: "fabric".into(),
-                worker: None,
                 wall: Duration::from_millis(2),
             },
         ];
-        let table = profile_table(&rows, 2);
-        assert!(
-            table.contains("  fig3              1      1.500\n"),
-            "{table}"
-        );
-        assert!(
-            table.contains("  fabric            -      2.000\n"),
-            "{table}"
-        );
-        assert!(
-            table.contains("2 rows, 3.500 ms total, 2 worker threads"),
-            "{table}"
-        );
+        let table = profile_table(&rows);
+        assert!(table.contains("  fig3              1.500\n"), "{table}");
+        assert!(table.contains("  fabric            2.000\n"), "{table}");
+        assert!(table.contains("2 rows, 3.500 ms total\n"), "{table}");
         assert!(!table.contains("-0.000"), "{table}");
     }
 }

@@ -1,6 +1,6 @@
-//! `report --profile` end to end: the table names every row after the
-//! exhibit it timed, and the fabric exhibits (which run outside the
-//! exhibit sweep) get a row of their own.
+//! `report --profile` and `report --json` end to end: the table names
+//! every row after the exhibit it timed, the fabric exhibits get a row
+//! of their own, and per-exhibit wall times add up to the total.
 
 use std::process::Command;
 
@@ -25,8 +25,8 @@ fn profile_table(args: &[&str]) -> Vec<String> {
 
 #[test]
 fn nested_sweep_cells_are_not_profiled_as_exhibits() {
-    // fig3 sweeps its own cells; only the exhibit itself is a row, on
-    // the serial path and on a pool alike.
+    // fig3 sweeps its own cells; only the exhibit itself is a row, at
+    // any thread count.
     for threads in ["1", "2"] {
         let table = profile_table(&["--profile", "--threads", threads, "fig3", "table1"]);
         let rows: Vec<&str> = table[2..table.len() - 1]
@@ -46,9 +46,58 @@ fn fabric_is_timed_as_its_own_row() {
     let table = profile_table(&["--profile", "fabric"]);
     assert_eq!(table.len(), 4, "{table:#?}");
     let row: Vec<&str> = table[2].split_whitespace().collect();
-    assert_eq!(row[..2], ["fabric", "-"], "{table:#?}");
-    let ms: f64 = row[2].parse().expect("wall_ms");
+    assert_eq!(row[0], "fabric", "{table:#?}");
+    let ms: f64 = row[1].parse().expect("wall_ms");
     assert!(ms > 0.0, "{table:#?}");
     assert!(table[3].contains("1 rows"), "{table:#?}");
     assert!(!table.iter().any(|l| l.contains("-0.000")), "{table:#?}");
+}
+
+/// The numbers following each `"key": ` in a flat JSON document.
+fn json_numbers(doc: &str, key: &str) -> Vec<f64> {
+    let pat = format!("\"{key}\": ");
+    doc.match_indices(&pat)
+        .map(|(i, _)| {
+            let rest = &doc[i + pat.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(rest.len());
+            rest[..end].parse().expect("number")
+        })
+        .collect()
+}
+
+#[test]
+fn exhibit_wall_times_reconcile_with_the_total() {
+    // Exhibits that share memoized sweeps (fig3 and fig7 with each
+    // other, table6 and table8 through the P166 fits) run one at a
+    // time, so their wall times partition the total instead of
+    // overlapping it.
+    let dir = std::env::temp_dir().join(format!("genie_report_json_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let exhibits = ["fig3", "fig7", "table6", "table8"];
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--json", "--threads", "2"])
+        .args(exhibits)
+        .current_dir(&dir)
+        .output()
+        .expect("run report");
+    assert!(out.status.success(), "report --json failed");
+    let doc = std::fs::read_to_string(dir.join("BENCH_report.json")).expect("BENCH_report.json");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    let total = json_numbers(&doc, "total_wall_ms");
+    let walls = json_numbers(&doc, "wall_ms");
+    assert_eq!(total.len(), 1, "{doc}");
+    assert_eq!(walls.len(), exhibits.len(), "{doc}");
+    let (total, sum) = (total[0], walls.iter().sum::<f64>());
+    // Each printed figure is rounded to the microsecond.
+    let rounding = 0.0005 * (walls.len() + 1) as f64;
+    assert!(
+        sum <= total + rounding,
+        "exhibits sum to {sum} ms > total {total} ms"
+    );
+    assert!(
+        sum >= 0.9 * total,
+        "exhibits sum to {sum} ms < 90% of total {total} ms"
+    );
 }

@@ -329,32 +329,6 @@ impl CqConfig {
             window: AdaptiveConfig::fixed(depth),
         }
     }
-
-    /// The environment-driven default: `GENIE_CQ_DEPTH` bounds the
-    /// window and rings (default 64), `GENIE_CQ_ADAPTIVE` (default on;
-    /// `0` disables) selects the AIMD controller, seeded by `seed`.
-    pub fn from_env(seed: u64) -> Self {
-        let depth = std::env::var("GENIE_CQ_DEPTH")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(64);
-        let adaptive = std::env::var("GENIE_CQ_ADAPTIVE")
-            .map(|v| {
-                let v = v.trim();
-                !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-            })
-            .unwrap_or(true);
-        CqConfig {
-            sq_depth: depth * 4,
-            cq_depth: depth,
-            window: if adaptive {
-                AdaptiveConfig::adaptive(depth, seed)
-            } else {
-                AdaptiveConfig::fixed(depth)
-            },
-        }
-    }
 }
 
 /// Bookkeeping for one issued wire operation. Completions identify

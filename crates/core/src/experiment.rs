@@ -8,15 +8,12 @@
 //! sent bytes, so the performance experiments double as end-to-end
 //! integrity checks.
 //!
-//! Each measured cell drives its own single-threaded `World`
-//! (deterministic by design); the sweeps fan independent cells out to
-//! the `genie-runner` worker pool and collect results by cell index,
-//! so sweep output is byte-identical at any thread count. Within one
-//! worker's share of a sweep, a [`SeriesContext`] reuses one `World`
-//! across sizes instead of rebuilding (and re-zeroing) its physical
-//! memory per point; every exchange starts from a quiesced world with
-//! freshly allocated buffers and a warm-up round, so a reused world
-//! measures exactly what a fresh one does.
+//! Every sweep runs in order on the calling thread and drives one
+//! single-threaded `World` (deterministic by design). A
+//! [`SeriesContext`] reuses that `World` across a sweep's sizes
+//! instead of rebuilding it per point; every exchange starts from a
+//! quiesced world with freshly allocated buffers and a warm-up round,
+//! so a reused world measures exactly what a fresh one does.
 
 use genie_machine::{LinkSpec, MachineSpec, SimTime};
 use genie_net::{InputBuffering, Vc, HEADER_LEN};
@@ -97,9 +94,9 @@ impl ExperimentSetup {
             link: self.link.clone(),
             rx_buffering: self.rx_buffering,
             genie: self.genie,
-            // Experiments build a fresh world per point; a small
-            // physical memory keeps that cheap while leaving ample
-            // headroom over the 15-page maximum datagram.
+            // A small physical memory keeps each sweep's world cheap
+            // while leaving ample headroom over the 15-page maximum
+            // datagram.
             frames_per_host: 768,
             ..WorldConfig::default()
         }
@@ -169,13 +166,11 @@ fn with_payload<R>(len: usize, seed: u8, f: impl FnOnce(&[u8]) -> R) -> R {
 /// A reusable measurement context: one `World` (with its sender and
 /// receiver processes) shared by consecutive measurements of a series.
 ///
-/// Building a `World` zero-fills every physical frame of both hosts,
-/// which dominated sweep wall-clock time when each point rebuilt it.
-/// Reuse is measurement-neutral: every exchange quiesces the world
-/// first, each size allocates fresh buffers, and each measurement runs
-/// its own warm-up round — so a reused world reports the same latency
-/// as a fresh one (the determinism tests and the committed report
-/// baseline both check this).
+/// Reuse saves rebuilding both hosts' kernels, processes and overlay
+/// pools per point. It is measurement-neutral: every exchange quiesces
+/// the world first, each size allocates fresh buffers, and each
+/// measurement runs its own warm-up round — so a reused world reports
+/// the same latency as a fresh one.
 pub struct SeriesContext {
     setup: ExperimentSetup,
     w: World,
@@ -360,11 +355,8 @@ pub fn measure_latency(
     SeriesContext::new(setup, &[bytes]).measure_latency(semantics, bytes)
 }
 
-/// Latency sweep over datagram sizes (Figures 3, 5, 6, 7).
-///
-/// Sizes are split into contiguous chunks, one per worker thread; each
-/// chunk reuses a single [`SeriesContext`]. Results come back in size
-/// order regardless of thread count.
+/// Latency sweep over datagram sizes (Figures 3, 5, 6, 7), measured
+/// in size order through one [`SeriesContext`].
 ///
 /// Sweeps are memoized on `(setup, semantics, sizes)`: several
 /// exhibits fit or re-plot the very same deterministic points (the
@@ -384,54 +376,41 @@ pub fn latency_sweep(
     if let Some((_, pts)) = CACHE.lock().unwrap().iter().find(|(k, _)| *k == key) {
         return pts.clone();
     }
-    let pts = latency_sweep_uncached(setup, semantics, sizes);
+    let mut ctx = SeriesContext::new(setup, sizes);
+    let pts: Vec<ExperimentPoint> = sizes
+        .iter()
+        .map(|&bytes| ExperimentPoint {
+            bytes,
+            latency: ctx.measure_latency(semantics, bytes).expect("experiment"),
+            utilization: 0.0,
+        })
+        .collect();
     CACHE.lock().unwrap().push((key, pts.clone()));
     pts
 }
 
-/// The uncached sweep behind [`latency_sweep`].
-fn latency_sweep_uncached(
-    setup: &ExperimentSetup,
-    semantics: Semantics,
-    sizes: &[usize],
-) -> Vec<ExperimentPoint> {
-    let threads = genie_runner::configured_threads().clamp(1, sizes.len());
-    let chunks: Vec<&[usize]> = sizes.chunks(sizes.len().div_ceil(threads)).collect();
-    genie_runner::map(&chunks, |chunk| {
-        let mut ctx = SeriesContext::new(setup, chunk);
-        chunk
-            .iter()
-            .map(|&bytes| ExperimentPoint {
-                bytes,
-                latency: ctx.measure_latency(semantics, bytes).expect("experiment"),
-                utilization: 0.0,
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// CPU utilization via ping-pong exchange (Figure 4): each host
 /// alternately sends and receives; utilization is host A's busy time
-/// over elapsed time, after a warm-up round. Each size is an
-/// independent cell on the worker pool.
+/// over elapsed time, after a warm-up round. Each size runs in a
+/// fresh world.
 pub fn utilization_sweep(
     setup: &ExperimentSetup,
     semantics: Semantics,
     sizes: &[usize],
     rounds: usize,
 ) -> Vec<ExperimentPoint> {
-    genie_runner::map(sizes, |&bytes| {
-        let (latency, utilization) =
-            measure_ping_pong(setup, semantics, bytes, rounds).expect("experiment");
-        ExperimentPoint {
-            bytes,
-            latency,
-            utilization,
-        }
-    })
+    sizes
+        .iter()
+        .map(|&bytes| {
+            let (latency, utilization) =
+                measure_ping_pong(setup, semantics, bytes, rounds).expect("experiment");
+            ExperimentPoint {
+                bytes,
+                latency,
+                utilization,
+            }
+        })
+        .collect()
 }
 
 /// Runs `rounds` ping-pong rounds and returns (one-way latency of the
@@ -727,5 +706,21 @@ mod tests {
         // 61440 bytes in 3932 us ~ 125 Mbps.
         let t = throughput_mbps(61_440, SimTime::from_us(3932.0));
         assert!((t - 125.0).abs() < 1.0, "{t}");
+    }
+
+    #[test]
+    fn reused_series_context_measures_what_fresh_worlds_do() {
+        // A sweep measures every size through one world; each point
+        // must equal a fresh world's measurement of that size alone.
+        let setup = ExperimentSetup::pooled_unaligned(MachineSpec::micron_p166());
+        let sizes = [61_440, 1_536, 8_192, 4_096];
+        for sem in [Semantics::Copy, Semantics::EmulatedCopy, Semantics::Move] {
+            let mut ctx = SeriesContext::new(&setup, &sizes);
+            for &b in &sizes {
+                let reused = ctx.measure_latency(sem, b).expect("reused");
+                let fresh = measure_latency(&setup, sem, b).expect("fresh");
+                assert_eq!(reused, fresh, "{sem:?} at {b} bytes");
+            }
+        }
     }
 }

@@ -1,15 +1,19 @@
 //! Deterministic parallel sweep engine.
 //!
-//! The paper's evaluation is regenerated by sweeping hundreds of
-//! independent (semantics × size × rx-scheme × machine) cells. Each
-//! cell builds its own two-host `World`, so cells are embarrassingly
-//! parallel — but each individual `World` must stay single-threaded to
-//! keep the discrete-event simulation deterministic. This crate
-//! provides the layer *above* the `World` boundary: a scoped-thread
-//! worker pool (`std::thread::scope`, no external dependencies) that
-//! fans cells out to worker threads and collects results **by cell
-//! index**, so the output is byte-identical to the serial path no
-//! matter how many threads run or how the OS schedules them.
+//! Coarse sweeps of independent worlds — the fabric and CQ suites (one
+//! N-host star per semantics), perfbench's two-host sweep, and the
+//! seed-swept tests — fan their cells out here. Each individual `World`
+//! stays single-threaded to keep the discrete-event simulation
+//! deterministic; this crate is the layer *above* the `World`
+//! boundary: a scoped-thread worker pool (`std::thread::scope`, no
+//! external dependencies) that collects results **by cell index**, so
+//! the output is byte-identical to the serial path no matter how many
+//! threads run or how the OS schedules them.
+//!
+//! The paper exhibits do not use the pool. Each is a few milliseconds
+//! of two-host exchanges, and `report all` measured slower at 2
+//! threads than at 1 (see DESIGN.md), so they run in order on the
+//! calling thread.
 //!
 //! Thread count resolution, in priority order:
 //! 1. a programmatic override via [`set_threads`] (used by `--threads`
@@ -17,91 +21,16 @@
 //! 2. the `GENIE_THREADS` environment variable,
 //! 3. `std::thread::available_parallelism()`.
 //!
-//! `threads == 1` takes a strict serial fast path (no threads spawned),
-//! which is also the fallback when a sweep is already running inside a
-//! worker thread: nested sweeps run inline on the worker instead of
-//! oversubscribing the pool, keeping one level of fan-out.
+//! `threads == 1` takes a strict serial fast path (no threads
+//! spawned). No caller nests sweeps; a nested sweep would spawn its
+//! own workers.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-use std::time::Duration;
 
 /// Programmatic thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Profile samples accumulated while [`set_profiling`] is on.
-static PROFILE: Mutex<Vec<CellSample>> = Mutex::new(Vec::new());
-
-/// One profiled sweep cell: which worker ran it and for how long
-/// (wall clock, host time — *not* simulated time).
-#[derive(Clone, Copy, Debug)]
-pub struct CellSample {
-    /// Cell index within its sweep.
-    pub cell: usize,
-    /// Worker thread index (0 for the serial path).
-    pub worker: usize,
-    /// Wall-clock time the cell took.
-    pub wall: Duration,
-}
-
-/// Turns per-cell wall-clock profiling on or off for sweeps started
-/// on the calling thread. Profiling records into a process-global
-/// buffer drained by [`take_profile`]. Only the outermost sweep's
-/// cells are recorded: a sweep nested inside a cell (on the same
-/// thread or on workers it spawns) is part of that cell's time.
-pub fn set_profiling(on: bool) {
-    PROFILING.with(|p| p.set(on));
-}
-
-/// Drains every profile sample recorded so far, sorted by sweep order
-/// (samples from consecutive sweeps simply concatenate).
-pub fn take_profile() -> Vec<CellSample> {
-    let mut out = std::mem::take(&mut *PROFILE.lock().expect("profile buffer poisoned"));
-    out.sort_by_key(|s| s.cell);
-    out
-}
-
-/// Runs one cell, recording a profile sample when `record` is set.
-/// Profiling is off on this thread while the cell runs, so sweeps
-/// nested inside it record nothing.
-#[inline]
-fn run_cell<R, F: Fn(usize) -> R>(f: &F, i: usize, worker: usize, record: bool) -> R {
-    if !record {
-        return f(i);
-    }
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PROFILING.with(|p| p.set(self.0));
-        }
-    }
-    let _restore = Restore(PROFILING.with(|p| p.replace(false)));
-    let t0 = std::time::Instant::now();
-    let r = f(i);
-    let wall = t0.elapsed();
-    PROFILE
-        .lock()
-        .expect("profile buffer poisoned")
-        .push(CellSample {
-            cell: i,
-            worker,
-            wall,
-        });
-    r
-}
-
-thread_local! {
-    /// True while the current thread is a sweep worker; nested sweeps
-    /// then run inline instead of spawning a second level of threads.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-
-    /// Whether sweeps started on this thread record profile samples
-    /// (see [`set_profiling`]). Off on worker threads, and off while a
-    /// recorded cell runs, so only the outermost sweep records.
-    static PROFILING: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Overrides the worker-thread count for all subsequent sweeps.
 ///
@@ -124,12 +53,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(THREAD_OVERRIDE.swap(n, Ordering::SeqCst));
     f()
-}
-
-/// True while the current thread is a sweep worker (exposed so
-/// callers can reason about nesting).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
 }
 
 /// The worker-thread count the next sweep will use.
@@ -177,9 +100,8 @@ where
 {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-    let record = PROFILING.with(Cell::get);
-    if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
-        return (0..n).map(|i| run_cell(&f, i, 0, record)).collect();
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
     }
 
     // Work-stealing by atomic index; each result lands in its own slot
@@ -194,23 +116,20 @@ where
     let slots: Vec<Mutex<Option<CellResult<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     thread::scope(|s| {
         let (f, next, abort, slots) = (&f, &next, &abort, &slots);
-        for worker in 0..threads.min(n) {
-            s.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = catch_unwind(AssertUnwindSafe(|| run_cell(f, i, worker, record)));
-                    if r.is_err() {
-                        abort.store(true, Ordering::SeqCst);
-                    }
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
+        for _ in 0..threads.min(n) {
+            s.spawn(move || loop {
+                if abort.load(Ordering::SeqCst) {
+                    break;
                 }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = catch_unwind(AssertUnwindSafe(|| f(i)));
+                if r.is_err() {
+                    abort.store(true, Ordering::SeqCst);
+                }
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
@@ -271,6 +190,9 @@ mod tests {
 
     #[test]
     fn nested_sweeps_run_inline_without_deadlock() {
+        // No caller nests sweeps, but one that did must still get
+        // every cell back in order: the inner sweep spawns its own
+        // scoped workers and joins them before its outer cell ends.
         let got = run_threads(4, 8, |i| {
             let inner = run_threads(4, 4, move |j| i * 10 + j);
             inner.iter().sum::<usize>()
@@ -329,55 +251,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn profiling_records_every_cell_and_drains() {
-        // Profiling shares one global sample buffer, so the profiled
-        // sweeps live in this one test; sweeps other tests start on
-        // their own threads never record.
-        set_profiling(true);
-        let _ = take_profile(); // start from a clean buffer
-        for threads in [1, 2, 4] {
-            let got = run_threads(threads, 12, |i| i * 3);
-            assert_eq!(got, (0..12).map(|i| i * 3).collect::<Vec<_>>());
-            let samples = take_profile();
-            assert_eq!(samples.len(), 12, "threads = {threads}");
-            for (i, s) in samples.iter().enumerate() {
-                assert_eq!(s.cell, i, "threads = {threads}");
-                assert!(s.worker < threads, "threads = {threads}");
-            }
-        }
-        // Nested sweeps are part of their outer cell's time: only the
-        // outer cells are recorded, whether the outer sweep runs
-        // serially (one cell, or one thread) or on a pool, and whether
-        // the inner sweep runs inline or spawns its own workers.
-        for (outer_threads, outer_n, inner_threads) in
-            [(1, 3, 4), (4, 1, 4), (1, 1, 1), (2, 5, 2), (4, 3, 1)]
-        {
-            let got = run_threads(outer_threads, outer_n, |i| {
-                run_threads(inner_threads, 6, move |j| i * 10 + j)
-                    .into_iter()
-                    .sum::<usize>()
-            });
-            assert_eq!(got.len(), outer_n);
-            let cells: Vec<usize> = take_profile().iter().map(|s| s.cell).collect();
-            assert_eq!(
-                cells,
-                (0..outer_n).collect::<Vec<_>>(),
-                "outer {outer_threads} x {outer_n}, inner {inner_threads} threads"
-            );
-        }
-        // A panicking profiled cell leaves profiling on for the next
-        // sweep on this thread.
-        let r = std::panic::catch_unwind(|| run_threads(1, 2, |_| -> usize { panic!("boom") }));
-        assert!(r.is_err());
-        let _ = take_profile();
-        run_threads(1, 2, |i| i);
-        assert_eq!(take_profile().len(), 2);
-        set_profiling(false);
-        run_threads(2, 6, |i| i);
-        assert!(take_profile().is_empty(), "off means no samples");
     }
 
     #[test]

@@ -90,8 +90,10 @@ for section in fault_stats simulated_latency_60kb_us; do
 done
 
 echo "== perf regression gate (fresh minimums vs BENCH_baseline.json) =="
-# Regenerates the datapath microbench and three serial report runs and
-# compares their minimums against the committed baseline. Minimums, not
+# Regenerates the datapath microbench and three report runs and
+# compares their minimums against the committed baseline. The report
+# runs use the default thread count, as users run `report all`, so
+# exhibit-level thread fan-out would show up in total_wall_ms. Minimums, not
 # means: on a shared machine the mean absorbs unrelated load spikes
 # while the min tracks the code. GENIE_BENCH_TOL (percent, default 25)
 # sets the failure threshold; CI passes 50 to ride out runner variance;
@@ -102,7 +104,7 @@ else
   perf_dir=$(mktemp -d)
   trap 'rm -f "$tmp_serial" "$tmp_par" "$tmp_metrics" "$tmp_trace" "$tmp_cq" "$tmp_cq2" "$tmp_bench"; rm -rf "$tmp_json_dir" "$perf_dir"' EXIT
   for i in 1 2 3; do
-    (cd "$perf_dir" && "$OLDPWD/target/release/report" --json all --threads 1 >/dev/null 2>&1)
+    (cd "$perf_dir" && "$OLDPWD/target/release/report" --json all >/dev/null 2>&1)
     cp "$perf_dir/BENCH_report.json" "$perf_dir/run$i.json"
   done
   # Two full bench runs: the gate takes the per-benchmark best, so a

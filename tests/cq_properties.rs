@@ -510,7 +510,11 @@ fn delay_only_faults_preserve_conservation_and_checksums() {
         });
         let tx = w.create_process(HostId::A);
         let rx = w.create_process(HostId::B);
-        let cfg = CqConfig::from_env(seed);
+        let cfg = CqConfig {
+            sq_depth: 256,
+            cq_depth: 64,
+            window: AdaptiveConfig::adaptive(64, seed),
+        };
         let mut qps = vec![
             QueuePair::new(HostId::B, Semantics::Copy, cfg),
             QueuePair::new(HostId::A, Semantics::Copy, cfg),
