@@ -216,23 +216,35 @@ impl SeriesContext {
         let mut last = SimTime::ZERO;
         let mut app_bufs: Option<(u64, u64)> = None;
         for round in 0..2u8 {
-            last = with_payload(bytes, round, |data| {
-                one_exchange_between(
-                    &mut self.w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    self.tx,
-                    HostId::B,
-                    self.rx,
-                    self.setup.recv_page_off,
-                    data,
-                    &mut app_bufs,
-                )
-            })?;
+            last = self.exchange(semantics, bytes, round, &mut app_bufs)?;
         }
         self.free_app_bufs(app_bufs);
         Ok(last)
+    }
+
+    /// One A→B exchange of the `seed` payload pattern on VC 1, reusing
+    /// the application buffers in `bufs` once allocated.
+    fn exchange(
+        &mut self,
+        semantics: Semantics,
+        bytes: usize,
+        seed: u8,
+        bufs: &mut Option<(u64, u64)>,
+    ) -> Result<SimTime, GenieError> {
+        with_payload(bytes, seed, |data| {
+            one_exchange_between(
+                &mut self.w,
+                semantics,
+                Vc(1),
+                HostId::A,
+                self.tx,
+                HostId::B,
+                self.rx,
+                self.setup.recv_page_off,
+                data,
+                bufs,
+            )
+        })
     }
 
     /// Returns a completed measurement's application buffers to the
@@ -272,29 +284,12 @@ impl SeriesContext {
         GenieError,
     > {
         let mut app_bufs: Option<(u64, u64)> = None;
-        let (tx, rx, page_off) = (self.tx, self.rx, self.setup.recv_page_off);
-        let exchange = |w: &mut World, seed: u8, bufs: &mut Option<(u64, u64)>| {
-            with_payload(bytes, seed, |data| {
-                one_exchange_between(
-                    w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    tx,
-                    HostId::B,
-                    rx,
-                    page_off,
-                    data,
-                    bufs,
-                )
-            })
-        };
-        exchange(&mut self.w, 0, &mut app_bufs)?;
+        self.exchange(semantics, bytes, 0, &mut app_bufs)?;
         for h in [HostId::A, HostId::B] {
             self.w.host_mut(h).ledger.reset();
         }
         self.w.enable_tracing(true);
-        let latency = exchange(&mut self.w, 1, &mut app_bufs)?;
+        let latency = self.exchange(semantics, bytes, 1, &mut app_bufs)?;
         let trace = self.w.take_trace();
         let metrics = self.w.metrics();
         self.w.enable_tracing(false);
@@ -312,27 +307,10 @@ impl SeriesContext {
         bytes: usize,
     ) -> Result<(SimTime, Vec<genie_machine::Sample>), GenieError> {
         let mut app_bufs: Option<(u64, u64)> = None;
-        let (tx, rx, page_off) = (self.tx, self.rx, self.setup.recv_page_off);
-        let exchange = |w: &mut World, seed: u8, bufs: &mut Option<(u64, u64)>| {
-            with_payload(bytes, seed, |data| {
-                one_exchange_between(
-                    w,
-                    semantics,
-                    Vc(1),
-                    HostId::A,
-                    tx,
-                    HostId::B,
-                    rx,
-                    page_off,
-                    data,
-                    bufs,
-                )
-            })
-        };
-        exchange(&mut self.w, 0, &mut app_bufs)?;
+        self.exchange(semantics, bytes, 0, &mut app_bufs)?;
         self.w.host_mut(HostId::A).ledger.record_samples(true);
         self.w.host_mut(HostId::B).ledger.record_samples(true);
-        let latency = exchange(&mut self.w, 1, &mut app_bufs)?;
+        let latency = self.exchange(semantics, bytes, 1, &mut app_bufs)?;
         let mut samples = self.w.host(HostId::A).ledger.samples().to_vec();
         samples.extend_from_slice(self.w.host(HostId::B).ledger.samples());
         for h in [HostId::A, HostId::B] {

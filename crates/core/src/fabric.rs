@@ -1,19 +1,27 @@
-//! Switched-fabric event handlers: the switch's two hops.
+//! The fabric fork: everything that differs between the paper's two
+//! back-to-back hosts and a switched fabric lives here, and the rest
+//! of the datapath asks these helpers instead of matching on the
+//! fabric itself.
 //!
 //! In a switched world every PDU crosses two hops, each with its own
 //! credit loop (hop-by-hop flow control, after Kosak et al.):
 //!
-//! 1. **Host → switch.** `try_transmit_one` spends the sender
-//!    adapter's per-VC credits and schedules [`Event::SwitchIngress`]
-//!    at the end of the uplink wire time. The ingress handler buffers
-//!    the PDU in the routed output port(s) and returns the hop-1
-//!    credits to the sender.
+//! 1. **Host → switch.** The sender spends its adapter's per-VC
+//!    credits and hands the PDU to [`World::launch`], which schedules
+//!    [`Event::SwitchIngress`] at the end of the uplink wire time. The
+//!    ingress handler buffers the PDU in the routed output port(s) and
+//!    returns the hop-1 credits to the sender.
 //! 2. **Switch → host.** [`Event::PortDrain`] dispatches the head of
 //!    an output port's FIFO when the egress link is free and the
 //!    `(port, VC)` credit ledger covers the PDU's cells; the final
 //!    arrival at the destination host returns those credits (see
-//!    `on_arrive`). A credit-stalled head blocks its whole port, which
-//!    preserves per-VC FIFO order across the hop.
+//!    [`World::return_last_hop_credits`]). A credit-stalled head
+//!    blocks its whole port, which preserves per-VC FIFO order across
+//!    the hop.
+//!
+//! In a passthrough world there is one hop: `launch` schedules the
+//! arrival at the peer directly, and the arrival returns the sender's
+//! credits.
 //!
 //! Contention is therefore visible in two places: fan-in queueing in
 //! the output-port FIFOs (depth counters) and credit stalls on the
@@ -28,90 +36,127 @@ use genie_net::{SwitchedPdu, Vc, WirePdu};
 use crate::world::{Event, FabricState, HostId, World};
 
 impl World {
-    /// A PDU (or damaged-PDU marker) reached the switch: return hop-1
-    /// credits to the sender, route, and buffer at the output port(s).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_switch_ingress(
+    /// Puts a PDU on its first hop: the only builder of the first-hop
+    /// event. It arrives at `pdu.ingress_at` — at the peer's adapter in
+    /// a passthrough world, at the switch's ingress otherwise. A `None`
+    /// payload is a damaged PDU.
+    pub(crate) fn launch(&mut self, pdu: SwitchedPdu) {
+        let at = pdu.ingress_at;
+        let ev = match self.fabric {
+            FabricState::Passthrough => Event::Arrive {
+                to: HostId(pdu.src).peer(),
+                vc: Vc(pdu.vc),
+                cells: pdu.cells(),
+                pdu: pdu.payload,
+                sent_at: pdu.sent_at,
+                token: pdu.token,
+            },
+            FabricState::Switched(_) => Event::SwitchIngress { pdu },
+        };
+        self.events.push(at, ev);
+    }
+
+    /// Charges the receiving device's fixed cost for a PDU `from`
+    /// launches, returning its delay. It belongs to whoever faces the
+    /// destination host: the sender's hop in a passthrough world, the
+    /// switch's egress hop (`on_port_drain`) otherwise.
+    pub(crate) fn first_hop_dev_rx(&mut self, from: HostId) -> SimTime {
+        match self.fabric {
+            FabricState::Passthrough => {
+                self.hosts[from.peer().idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0)
+            }
+            FabricState::Switched(_) => SimTime::ZERO,
+        }
+    }
+
+    /// The wire-span label of `from`'s uplink.
+    pub(crate) fn uplink_label(&self, from: HostId) -> &'static str {
+        match (&self.fabric, from) {
+            (FabricState::Switched(_), _) => "wire host\u{2192}switch",
+            (FabricState::Passthrough, HostId::A) => "wire A\u{2192}B",
+            (FabricState::Passthrough, _) => "wire B\u{2192}A",
+        }
+    }
+
+    /// A PDU's cells drained `to`'s receive buffers: return the last
+    /// hop's credits and wake whoever was stalled on them — the peer's
+    /// transmit queue in a passthrough world, the switch's egress port
+    /// otherwise. The credit-return message crosses the wire back
+    /// before it can wake anyone.
+    pub(crate) fn return_last_hop_credits(
         &mut self,
         time: SimTime,
-        from: HostId,
+        to: HostId,
         vc: Vc,
-        mut pdu: Option<WirePdu>,
         cells: usize,
-        total: usize,
-        sent_at: SimTime,
-        token: u64,
-        seq: u32,
     ) {
-        // The switch has buffered the cells, so the uplink credits go
-        // back to the sender; the credit-return message crosses the
-        // wire back before it can wake a stalled transmit queue.
-        self.hosts[from.idx()]
-            .adapter
-            .return_credits(vc, cells as u32);
-        if let Some(&front) = self.txq[from.idx()]
+        let wake = time + self.link.fixed_latency;
+        match &mut self.fabric {
+            FabricState::Passthrough => {
+                let sender = to.peer();
+                self.hosts[sender.idx()]
+                    .adapter
+                    .return_credits(vc, cells as u32);
+                self.wake_txq(wake, sender, vc);
+            }
+            FabricState::Switched(sw) => {
+                sw.return_credits(to.0, vc.0, cells as u32);
+                if sw.queue_len(to.0) > 0 {
+                    self.events.push(wake, Event::PortDrain { port: to.0 });
+                }
+            }
+        }
+    }
+
+    /// Wakes `host`'s transmit queue on `vc` at `at` if a PDU waits
+    /// there.
+    pub(crate) fn wake_txq(&mut self, at: SimTime, host: HostId, vc: Vc) {
+        if let Some(&front) = self.txq[host.idx()]
             .get(u64::from(vc.0))
             .and_then(VecDeque::front)
         {
-            let wake = time + self.link.fixed_latency;
-            self.events.push(wake, Event::Transmit { token: front });
+            self.events.push(at, Event::Transmit { token: front });
         }
+    }
+
+    /// A PDU (or damaged-PDU marker) reached the switch: return hop-1
+    /// credits to the sender, route, and buffer at the output port(s).
+    pub(crate) fn on_switch_ingress(&mut self, time: SimTime, pdu: SwitchedPdu) {
+        // The switch has buffered the cells, so the uplink credits go
+        // back to the sender; the credit-return message crosses the
+        // wire back before it can wake a stalled transmit queue.
+        let (from, vc) = (HostId(pdu.src), Vc(pdu.vc));
+        self.hosts[from.idx()]
+            .adapter
+            .return_credits(vc, pdu.cells() as u32);
+        self.wake_txq(time + self.link.fixed_latency, from, vc);
 
         let FabricState::Switched(sw) = &mut self.fabric else {
             unreachable!("switch ingress event in a passthrough world");
         };
         let dsts = sw.route(from.0, vc.0).to_vec();
-        assert!(
-            !dsts.is_empty(),
-            "no route from host {} on vc {}",
-            from.0,
-            vc.0
-        );
-        sw.note_ingress(dsts.len() - 1);
+        let Some((&last, copies)) = dsts.split_last() else {
+            panic!("no route from host {} on vc {}", from.0, vc.0);
+        };
+        sw.note_ingress(copies.len());
         // Fan-out replicates the wire image at ingress; the original
-        // moves into the last copy. Drain kicks are deferred past the
-        // switch borrow; unicast (the fast path) needs no allocation.
-        let mut first_drain: Option<u16> = None;
-        let mut more_drains: Vec<u16> = Vec::new();
-        for (i, &dst) in dsts.iter().enumerate() {
-            let payload = if i + 1 == dsts.len() {
-                pdu.take()
-            } else {
-                pdu.as_ref()
-                    .map(|p| WirePdu::new(vc.0, p.payload().to_vec()))
+        // moves into the last copy. An idle port starts draining; a
+        // non-empty port already has a drain pending (a stall retry or
+        // a credit-return wake), so one event per busy spell is enough.
+        for &dst in copies {
+            let copy = SwitchedPdu {
+                payload: pdu
+                    .payload
+                    .as_ref()
+                    .map(|p| WirePdu::new(vc.0, p.payload().to_vec())),
+                ..pdu
             };
-            let depth = sw.enqueue(
-                dst,
-                SwitchedPdu {
-                    src: from.0,
-                    vc: vc.0,
-                    payload,
-                    cells,
-                    total,
-                    sent_at,
-                    token,
-                    seq,
-                    ingress_at: time,
-                },
-                time,
-            );
-            if depth == 1 {
-                // The port was idle: start draining. A non-empty port
-                // already has a drain pending (a stall retry or a
-                // credit-return wake), so one event per busy spell is
-                // enough.
-                if first_drain.is_none() {
-                    first_drain = Some(dst);
-                } else {
-                    more_drains.push(dst);
-                }
+            if sw.enqueue(dst, copy, time) == 1 {
+                self.events.push(time, Event::PortDrain { port: dst });
             }
         }
-        if let Some(port) = first_drain {
-            self.events.push(time, Event::PortDrain { port });
-        }
-        for port in more_drains {
-            self.events.push(time, Event::PortDrain { port });
+        if sw.enqueue(last, pdu, time) == 1 {
+            self.events.push(time, Event::PortDrain { port: last });
         }
     }
 
@@ -127,7 +172,7 @@ impl World {
             let Some(head) = sw.front(port) else {
                 return;
             };
-            let (vc, cells, total) = (head.vc, head.cells, head.total);
+            let (vc, cells, total) = (head.vc, head.cells(), head.total);
             assert!(
                 cells as u32 <= sw.port_credit(),
                 "PDU of {} cells can never clear port {}'s credit \
@@ -151,20 +196,18 @@ impl World {
             sw.set_busy_until(port, wire_done);
 
             let to = HostId(port);
-            let seq = pdu.seq;
-            let ingress_at = pdu.ingress_at;
             let dev_rx = self.hosts[to.idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0);
             let tracer = &mut self.hosts[to.idx()].tracer;
             if tracer.enabled() {
-                tracer.set_flow(vc, seq);
+                tracer.set_flow(vc, pdu.seq);
                 // Switch residency: queueing plus credit-stall time in
                 // the output-port FIFO, from ingress to the moment the
                 // egress wire starts serializing this PDU.
                 tracer.span(
                     genie_trace::Track::Events,
                     "switch.residency",
-                    ingress_at,
-                    wire_start.saturating_sub(ingress_at),
+                    pdu.ingress_at,
+                    wire_start.saturating_sub(pdu.ingress_at),
                     total,
                     cells,
                 );
@@ -178,28 +221,17 @@ impl World {
                 );
                 tracer.clear_flow();
             }
-            let arrival = wire_done + self.link.fixed_latency + dev_rx;
-            match pdu.payload {
-                Some(wire) => self.events.push(
-                    arrival,
-                    Event::Arrive {
-                        to,
-                        vc: Vc(vc),
-                        pdu: wire,
-                        sent_at: pdu.sent_at,
-                        token: pdu.token,
-                    },
-                ),
-                None => self.events.push(
-                    arrival,
-                    Event::ArriveDamaged {
-                        to,
-                        vc: Vc(vc),
-                        token: pdu.token,
-                        cells,
-                    },
-                ),
-            }
+            self.events.push(
+                wire_done + self.link.fixed_latency + dev_rx,
+                Event::Arrive {
+                    to,
+                    vc: Vc(vc),
+                    pdu: pdu.payload,
+                    cells,
+                    sent_at: pdu.sent_at,
+                    token: pdu.token,
+                },
+            );
         }
     }
 }

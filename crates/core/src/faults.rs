@@ -27,7 +27,7 @@ use genie_fault::{FaultConfig, FaultPlan, FaultStats, Oracle, WireDamage};
 use genie_machine::link::CELL_PAYLOAD;
 use genie_machine::{Op, SimTime};
 use genie_mem::{DenseMap, FrameId};
-use genie_net::{aal5, Vc, WirePdu};
+use genie_net::{aal5, SwitchedPdu, Vc, WirePdu};
 use genie_vm::pageout::PageoutPolicy;
 
 use crate::world::{Event, HostId, World};
@@ -57,6 +57,8 @@ pub(crate) struct Inflight {
     pub bytes: Vec<u8>,
     pub cells: usize,
     pub sent_at: SimTime,
+    /// Per-VC sequence number (flow identity for sampling).
+    pub seq: u32,
     pub attempts: u32,
 }
 
@@ -284,12 +286,7 @@ impl World {
     /// VC's transmit queue in case a PDU stalled on them.
     pub(crate) fn on_restore_credits(&mut self, time: SimTime, host: HostId, vc: Vc, cells: u32) {
         self.hosts[host.idx()].adapter.return_credits(vc, cells);
-        if let Some(&front) = self.txq[host.idx()]
-            .get(u64::from(vc.0))
-            .and_then(std::collections::VecDeque::front)
-        {
-            self.events.push(time, Event::Transmit { token: front });
-        }
+        self.wake_txq(time, host, vc);
     }
 
     /// Schedules a retransmission of `token` with exponential backoff,
@@ -310,6 +307,29 @@ impl World {
         self.events.push(at, Event::Retransmit { token });
     }
 
+    /// Draws the fault plan's verdict for a PDU crossing the wire and
+    /// applies any damage to its wire image. Returns the extra wire
+    /// delay and whether the PDU still reassembles intact.
+    pub(crate) fn cross_faulty_wire(
+        &mut self,
+        vc: Vc,
+        bytes: &[u8],
+        cells: usize,
+    ) -> (SimTime, bool) {
+        let verdict = self.fault.plan.wire(cells);
+        let extra = verdict.extra_delay.map_or(SimTime::ZERO, |d| {
+            self.fault.stats.pdus_delayed += 1;
+            d
+        });
+        let intact = verdict
+            .damage
+            .is_none_or(|damage| self.apply_wire_damage(vc, bytes, damage));
+        if !intact {
+            self.fault.stats.pdus_damaged += 1;
+        }
+        (extra, intact)
+    }
+
     /// Retransmit event: resend the stored wire image on its VC. The
     /// retransmission itself goes through the fault plan, so repeated
     /// damage keeps recovering until the plan's budget runs dry.
@@ -320,10 +340,8 @@ impl World {
         let Some(inf) = self.borrow_inflight(token) else {
             return; // delivered in the meantime
         };
-        let (from, vc, cells, sent_at) = (inf.from, inf.vc, inf.cells, inf.sent_at);
+        let (from, vc, cells) = (inf.from, inf.vc, inf.cells);
         let total = inf.bytes.len();
-        // Flow identity travels in the stored wire image's header.
-        let seq = genie_net::DatagramHeader::decode(&inf.bytes).map_or(0, |h| h.seq);
         if !self.hosts[from.idx()]
             .adapter
             .try_send_credits(vc, cells as u32)
@@ -340,79 +358,29 @@ impl World {
                 tracer.instant(genie_trace::Track::Events, "retransmit", time, cells);
             }
         }
-        let switched = self.is_switched();
         self.hosts[from.idx()].charge_overlapped(Op::CellTx, total, cells);
-        let dev_rx = if switched {
-            SimTime::ZERO // charged on the switch's egress hop
-        } else {
-            let dst = self.route_dst(from, vc);
-            self.hosts[dst.idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0)
-        };
+        let dev_rx = self.first_hop_dev_rx(from);
         let wire_start = time.max(self.link_busy_until[from.idx()]);
         let wire_done = wire_start + self.link.wire_time(total);
         self.link_busy_until[from.idx()] = wire_done;
-        let mut arrival = wire_done + self.link.fixed_latency + dev_rx;
-
-        let verdict = self.fault.plan.wire(cells);
-        if let Some(extra) = verdict.extra_delay {
-            self.fault.stats.pdus_delayed += 1;
-            arrival += extra;
-        }
-        let intact = match verdict.damage {
-            Some(damage) => self.apply_wire_damage(vc, &inf.bytes, damage),
-            None => true,
-        };
-        if intact {
-            let mut payload = self.take_payload_buf();
-            payload.extend_from_slice(&inf.bytes);
-            let mut pdu = WirePdu::new(vc.0, payload);
-            if self.force_cells {
-                pdu = self.roundtrip_through_cells(pdu);
-            }
-            let ev = if switched {
-                Event::SwitchIngress {
-                    from,
-                    vc,
-                    pdu: Some(pdu),
-                    cells,
-                    total,
-                    sent_at,
-                    token,
-                    seq,
-                }
-            } else {
-                Event::Arrive {
-                    to: self.route_dst(from, vc),
-                    vc,
-                    pdu,
-                    sent_at,
-                    token,
-                }
-            };
-            self.events.push(arrival, ev);
+        let (extra, intact) = self.cross_faulty_wire(vc, &inf.bytes, cells);
+        let payload = if intact {
+            let mut bytes = self.take_payload_buf();
+            bytes.extend_from_slice(&inf.bytes);
+            Some(self.wire_pdu(vc, bytes))
         } else {
-            self.fault.stats.pdus_damaged += 1;
-            let ev = if switched {
-                Event::SwitchIngress {
-                    from,
-                    vc,
-                    pdu: None,
-                    cells,
-                    total,
-                    sent_at,
-                    token,
-                    seq,
-                }
-            } else {
-                Event::ArriveDamaged {
-                    to: self.route_dst(from, vc),
-                    vc,
-                    token,
-                    cells,
-                }
-            };
-            self.events.push(arrival, ev);
-        }
+            None
+        };
+        self.launch(SwitchedPdu {
+            src: from.0,
+            vc: vc.0,
+            payload,
+            total,
+            sent_at: inf.sent_at,
+            token,
+            seq: inf.seq,
+            ingress_at: wire_done + self.link.fixed_latency + dev_rx + extra,
+        });
         self.restore_inflight(token, inf);
     }
 
@@ -437,30 +405,7 @@ impl World {
             }
             host.charge_overlapped(Op::CellRx, cells * CELL_PAYLOAD, cells);
         }
-        // The damaged cells still drained the receiver's buffers, so
-        // the last hop's credits return as usual.
-        match &mut self.fabric {
-            crate::world::FabricState::Passthrough => {
-                let sender = HostId(to.0 ^ 1);
-                self.hosts[sender.idx()]
-                    .adapter
-                    .return_credits(vc, cells as u32);
-                if let Some(&front) = self.txq[sender.idx()]
-                    .get(u64::from(vc.0))
-                    .and_then(std::collections::VecDeque::front)
-                {
-                    let wake = time + self.link.fixed_latency;
-                    self.events.push(wake, Event::Transmit { token: front });
-                }
-            }
-            crate::world::FabricState::Switched(sw) => {
-                sw.return_credits(to.0, vc.0, cells as u32);
-                if sw.queue_len(to.0) > 0 {
-                    let wake = time + self.link.fixed_latency;
-                    self.events.push(wake, Event::PortDrain { port: to.0 });
-                }
-            }
-        }
+        self.return_last_hop_credits(time, to, vc, cells);
         self.schedule_retransmit(time, token);
     }
 

@@ -259,52 +259,30 @@ impl World {
     /// Arrival event: adapter-level accounting and credit return, then
     /// delivery — direct in a fault-free world, gated by per-VC
     /// sequence order when a fault plan is active (so retransmissions
-    /// slot back in order).
+    /// slot back in order). A damaged PDU (`None`) goes to
+    /// `on_arrive_damaged`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_arrive(
         &mut self,
         time: SimTime,
         to: HostId,
         vc: Vc,
-        pdu: genie_net::WirePdu,
+        pdu: Option<genie_net::WirePdu>,
+        cells: usize,
         sent_at: SimTime,
         token: u64,
     ) {
-        let total = pdu.len();
-        let cells = pdu.n_cells();
+        let Some(pdu) = pdu else {
+            self.on_arrive_damaged(time, to, vc, token, cells);
+            return;
+        };
         {
             let host = self.host_mut(to);
             host.clock = host.clock.max(time);
             host.charge_latency(Op::OsFixedRecv, 0, 0);
-            host.charge_overlapped(Op::CellRx, total, cells);
+            host.charge_overlapped(Op::CellRx, pdu.len(), cells);
         }
-        // Return the last hop's credits for the drained cells and wake
-        // whoever was stalled on them: the peer's transmit queue in a
-        // passthrough world, the switch's egress port otherwise.
-        match &mut self.fabric {
-            crate::world::FabricState::Passthrough => {
-                let sender = HostId(to.0 ^ 1);
-                self.hosts[sender.idx()]
-                    .adapter
-                    .return_credits(vc, cells as u32);
-                if let Some(&front) = self.txq[sender.idx()]
-                    .get(u64::from(vc.0))
-                    .and_then(VecDeque::front)
-                {
-                    // A credit-return message crosses the wire back.
-                    let wake = time + self.link.fixed_latency;
-                    self.events
-                        .push(wake, crate::world::Event::Transmit { token: front });
-                }
-            }
-            crate::world::FabricState::Switched(sw) => {
-                sw.return_credits(to.0, vc.0, cells as u32);
-                if sw.queue_len(to.0) > 0 {
-                    let wake = time + self.link.fixed_latency;
-                    self.events
-                        .push(wake, crate::world::Event::PortDrain { port: to.0 });
-                }
-            }
-        }
+        self.return_last_hop_credits(time, to, vc, cells);
 
         if !self.fault.plan.active() {
             self.deliver_pdu(to, vc, pdu.payload(), sent_at);

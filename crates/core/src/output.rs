@@ -8,7 +8,7 @@
 use genie_machine::link::{cells_for_payload, AAL5_MAX_PAYLOAD};
 use genie_machine::{Op, SimTime};
 use genie_mem::{FrameId, IoDir};
-use genie_net::{checksum16, Adapter, DatagramHeader, Vc, HEADER_LEN};
+use genie_net::{checksum16, Adapter, DatagramHeader, SwitchedPdu, Vc, HEADER_LEN};
 use genie_vm::{IoDescriptor, RegionHandle, RegionMark, SpaceId};
 
 use crate::config::ChecksumMode;
@@ -370,18 +370,9 @@ impl World {
         // transmission (contributes to Figure 4, not to latency).
         self.hosts[from.idx()].charge_overlapped(Op::CellTx, total, cells);
 
-        let switched = self.is_switched();
         let dma_setup = self.hosts[from.idx()].charge_overlapped(Op::DmaSetup, 0, 0);
         let dev_tx = self.hosts[from.idx()].charge_overlapped(Op::DeviceFixedSend, 0, 0);
-        // The receiving device's fixed cost belongs to whoever faces
-        // the destination host: the sender's hop in a passthrough
-        // world, the switch's egress hop otherwise.
-        let dev_rx = if switched {
-            SimTime::ZERO
-        } else {
-            let dst = self.route_dst(from, vc);
-            self.hosts[dst.idx()].charge_overlapped(Op::DeviceFixedRecv, 0, 0)
-        };
+        let dev_rx = self.first_hop_dev_rx(from);
         // The wire serializes transmissions in each direction:
         // pipelined datagrams queue behind the previous PDU's cells.
         let ready = time + dma_setup + dev_tx;
@@ -389,13 +380,7 @@ impl World {
         let wire_done = wire_start + self.link.wire_time(total);
         self.link_busy_until[from.idx()] = wire_done;
         if self.wire_tracer.enabled() {
-            let name = if switched {
-                "wire host\u{2192}switch"
-            } else if from == HostId::A {
-                "wire A\u{2192}B"
-            } else {
-                "wire B\u{2192}A"
-            };
+            let name = self.uplink_label(from);
             self.wire_tracer.set_flow(vc.0, seq);
             self.wire_tracer.span(
                 genie_trace::Track::Wire,
@@ -407,20 +392,16 @@ impl World {
             );
             self.wire_tracer.clear_flow();
         }
-        // In a passthrough world this is the arrival at the peer; in a
-        // switched world, the arrival at the switch's ingress.
         let mut arrival = wire_done + self.link.fixed_latency + dev_rx;
         let mut txdone = wire_start.max(time) + self.dma.transfer_time(total);
 
         // The wire image: one contiguous pooled buffer plus cell
         // metadata. Real cells exist only on the slow path (fault
         // damage, forced cell codec).
-        let mut pdu = genie_net::WirePdu::new(vc.0, payload);
+        let pdu = self.wire_pdu(vc, payload);
         debug_assert_eq!(pdu.n_cells(), cells, "cell metadata disagrees with charge");
-        if self.force_cells {
-            pdu = self.roundtrip_through_cells(pdu);
-        }
 
+        let mut intact = true;
         if self.fault.plan.active() {
             // The adapter keeps the wire image for retransmission until
             // the peer delivers this PDU in order.
@@ -435,71 +416,35 @@ impl World {
                         bytes,
                         cells,
                         sent_at,
+                        seq,
                         attempts: 0,
                     },
                 );
             }
-            let verdict = self.fault.plan.wire(cells);
-            if let Some(extra) = verdict.extra_delay {
-                self.fault.stats.pdus_delayed += 1;
-                arrival += extra;
-            }
+            let (extra, ok) = self.cross_faulty_wire(vc, pdu.payload(), cells);
+            arrival += extra;
+            intact = ok;
             if let Some(d) = self.fault.plan.completion_delay() {
                 self.fault.stats.completion_delays += 1;
                 txdone += d;
             }
-            if let Some(damage) = verdict.damage {
-                if !self.apply_wire_damage(vc, pdu.payload(), damage) {
-                    self.fault.stats.pdus_damaged += 1;
-                    self.recycle_pdu(pdu);
-                    let ev = if switched {
-                        Event::SwitchIngress {
-                            from,
-                            vc,
-                            pdu: None,
-                            cells,
-                            total,
-                            sent_at,
-                            token,
-                            seq,
-                        }
-                    } else {
-                        Event::ArriveDamaged {
-                            to: self.route_dst(from, vc),
-                            vc,
-                            token,
-                            cells,
-                        }
-                    };
-                    self.events.push(arrival, ev);
-                    self.events.push(txdone, Event::TxDone { token });
-                    self.hosts[from.idx()].tracer.clear_flow();
-                    return true;
-                }
-            }
         }
-
-        let ev = if switched {
-            Event::SwitchIngress {
-                from,
-                vc,
-                pdu: Some(pdu),
-                cells,
-                total,
-                sent_at,
-                token,
-                seq,
-            }
+        let payload = if intact {
+            Some(pdu)
         } else {
-            Event::Arrive {
-                to: self.route_dst(from, vc),
-                vc,
-                pdu,
-                sent_at,
-                token,
-            }
+            self.recycle_pdu(pdu);
+            None
         };
-        self.events.push(arrival, ev);
+        self.launch(SwitchedPdu {
+            src: from.0,
+            vc: vc.0,
+            payload,
+            total,
+            sent_at,
+            token,
+            seq,
+            ingress_at: arrival,
+        });
         self.events.push(txdone, Event::TxDone { token });
         self.hosts[from.idx()].tracer.clear_flow();
         true

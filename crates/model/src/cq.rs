@@ -40,7 +40,7 @@ use genie_fault::{FaultConfig, XorShift64};
 use genie_net::{InputBuffering, Vc};
 use genie_vm::SpaceId;
 
-use crate::harness::seed_is_faulted;
+use crate::harness::{seed_is_faulted, shrink_ops};
 use crate::ops::payload;
 
 /// One step of a CQ differential scenario.
@@ -989,34 +989,7 @@ fn kv<T: std::str::FromStr>(word: Option<&str>, key: &str) -> Option<T> {
 /// strategy as the synchronous harness: truncate past the diverging
 /// step, then greedily delete single ops to a fixpoint.
 pub fn shrink_cq(sc: &CqScenario, bug: CqBug) -> (CqScenario, CqDivergence) {
-    let mut cur = sc.clone();
-    let mut div = match run_cq_scenario(&cur, bug) {
-        Err(d) => d,
-        Ok(_) => panic!("shrink_cq called on a passing scenario"),
-    };
-    cur.ops
-        .truncate(div.step.min(cur.ops.len().saturating_sub(1)) + 1);
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < cur.ops.len() {
-            let mut cand = cur.clone();
-            cand.ops.remove(i);
-            match run_cq_scenario(&cand, bug) {
-                Err(d) => {
-                    let keep = d.step.min(cand.ops.len().saturating_sub(1)) + 1;
-                    cur = cand;
-                    cur.ops.truncate(keep);
-                    div = d;
-                    progressed = true;
-                }
-                Ok(_) => i += 1,
-            }
-        }
-        if !progressed {
-            return (cur, div);
-        }
-    }
+    shrink_ops(sc, |s| &mut s.ops, |d| d.step, |s| run_cq_scenario(s, bug))
 }
 
 /// A fully-processed CQ differential failure.

@@ -494,23 +494,40 @@ pub fn run_scenario(sc: &Scenario, bug: ModelBug) -> Result<RunStats, Divergence
 /// candidate deletion. Deterministic; returns the minimal scenario
 /// and its divergence.
 pub fn shrink(sc: &Scenario, bug: ModelBug) -> (Scenario, Divergence) {
+    shrink_ops(sc, |s| &mut s.ops, |d| d.step, |s| run_scenario(s, bug))
+}
+
+/// The fixpoint loop behind [`shrink`], [`crate::shrink_cq`] and
+/// [`crate::shrink_switch`]. `ops` reaches a scenario's op list, `step`
+/// a divergence's diverging op index, and `run` replays a candidate
+/// (`Err` means it still diverges).
+pub(crate) fn shrink_ops<S: Clone, O, D, T>(
+    sc: &S,
+    ops: fn(&mut S) -> &mut Vec<O>,
+    step: fn(&D) -> usize,
+    run: impl Fn(&S) -> Result<T, D>,
+) -> (S, D) {
+    // Drop every op after the diverging one (clamped to the list).
+    let truncate = |s: &mut S, d: &D| {
+        let ops = ops(s);
+        ops.truncate(step(d).min(ops.len().saturating_sub(1)) + 1);
+    };
     let mut cur = sc.clone();
-    let mut div = match run_scenario(&cur, bug) {
+    let mut div = match run(&cur) {
         Err(d) => d,
         Ok(_) => panic!("shrink called on a passing scenario"),
     };
-    cur.ops.truncate(div.step + 1);
+    truncate(&mut cur, &div);
     loop {
         let mut progressed = false;
         let mut i = 0;
-        while i < cur.ops.len() {
+        while i < ops(&mut cur).len() {
             let mut cand = cur.clone();
-            cand.ops.remove(i);
-            match run_scenario(&cand, bug) {
+            ops(&mut cand).remove(i);
+            match run(&cand) {
                 Err(d) => {
-                    cur = cand;
-                    cur.ops.truncate(d.step + 1);
-                    div = d;
+                    truncate(&mut cand, &d);
+                    (cur, div) = (cand, d);
                     progressed = true;
                 }
                 Ok(_) => i += 1,

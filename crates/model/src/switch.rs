@@ -33,6 +33,7 @@ use genie_fault::XorShift64;
 use genie_machine::MachineSpec;
 use genie_net::{SwitchConfig, Vc};
 
+use crate::harness::shrink_ops;
 use crate::ops::payload;
 
 /// One route of a switched scenario: `(source host, VC, destinations)`.
@@ -491,32 +492,12 @@ fn barrier_check(
 /// Shrinks a diverging scenario by deleting ops while the divergence
 /// persists. Same fixpoint loop as [`crate::shrink`].
 pub fn shrink_switch(sc: &SwitchScenario, bug: SwitchBug) -> (SwitchScenario, SwitchDivergence) {
-    let mut cur = sc.clone();
-    let mut div = match run_switch_scenario(&cur, bug) {
-        Err(d) => d,
-        Ok(_) => panic!("shrink_switch called on a passing scenario"),
-    };
-    cur.ops.truncate(div.step + 1);
-    loop {
-        let mut progressed = false;
-        let mut i = 0;
-        while i < cur.ops.len() {
-            let mut cand = cur.clone();
-            cand.ops.remove(i);
-            match run_switch_scenario(&cand, bug) {
-                Err(d) => {
-                    cur = cand;
-                    cur.ops.truncate(d.step + 1);
-                    div = d;
-                    progressed = true;
-                }
-                Ok(_) => i += 1,
-            }
-        }
-        if !progressed {
-            return (cur, div);
-        }
-    }
+    shrink_ops(
+        sc,
+        |s| &mut s.ops,
+        |d| d.step,
+        |s| run_switch_scenario(s, bug),
+    )
 }
 
 /// Writes a minimal counterexample under `GENIE_MODEL_CE_DIR` (default

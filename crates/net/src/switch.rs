@@ -23,6 +23,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use genie_machine::link::cells_for_payload;
 use genie_machine::SimTime;
 use genie_trace::metrics::Histogram;
 
@@ -118,8 +119,6 @@ pub struct SwitchedPdu {
     /// The intact wire image, or `None` for a damaged-PDU marker
     /// (AAL5 reassembly will fail at the destination adapter).
     pub payload: Option<WirePdu>,
-    /// Cells on the wire.
-    pub cells: usize,
     /// Wire bytes (header + payload).
     pub total: usize,
     /// Output invocation time at the original sender.
@@ -132,6 +131,14 @@ pub struct SwitchedPdu {
     /// When the PDU entered this switch's output FIFO — start of its
     /// switch-residency span.
     pub ingress_at: SimTime,
+}
+
+impl SwitchedPdu {
+    /// Cells on the wire, derived from the wire bytes (a damaged
+    /// marker has no payload to ask).
+    pub fn cells(&self) -> usize {
+        cells_for_payload(self.total)
+    }
 }
 
 /// What a recorded [`PortPoint`] measures.
@@ -456,7 +463,6 @@ mod tests {
             src,
             vc,
             payload: None,
-            cells: 2,
             total: 96,
             sent_at: SimTime::ZERO,
             token,

@@ -51,6 +51,11 @@ cmp "$tmp_cq" "$tmp_cq2"
 GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 1 >"$tmp_cq" 2>/dev/null
 GENIE_CQ_FAULT_SEED=7 ./target/release/report fabric --cq --threads 4 >"$tmp_cq2" 2>/dev/null
 cmp "$tmp_cq" "$tmp_cq2"
+# The faulted table is the only faulted switched output `report`
+# prints, so it is also pinned against a committed golden: a datapath
+# change that moved both thread counts alike would pass the compare
+# above.
+cmp "$tmp_cq" scripts/golden_cq_fault7.txt
 
 echo "== scale tier smoke (8000 datagrams per semantics) =="
 GENIE_SCALE_DATAGRAMS=8000 ./target/release/report fabric --scale >"$tmp_cq" 2>/dev/null

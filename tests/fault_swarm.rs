@@ -22,6 +22,8 @@ const ARCHITECTURES: [InputBuffering; 3] = [
 
 /// Datagrams exchanged per scenario.
 const PDUS: usize = 3;
+/// Per-VC credit limit of every host adapter in the swarm.
+const CREDIT_LIMIT: u32 = 256;
 
 fn payload(seed: u64, pdu: usize, len: usize) -> Vec<u8> {
     let mut rng = XorShift64::new(seed.wrapping_mul(0x9e37_79b9) ^ pdu as u64);
@@ -50,7 +52,7 @@ fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace
     let cfg = WorldConfig {
         rx_buffering: arch,
         frames_per_host: 320,
-        credit_limit: 256,
+        credit_limit: CREDIT_LIMIT,
         fault,
         ..WorldConfig::default()
     };
@@ -164,6 +166,15 @@ fn run_scenario(sem: Semantics, arch: InputBuffering, seed: u64) -> Result<Trace
     let sends = w.take_completed_outputs();
     if sends.len() != PDUS {
         return fail(format!("{}/{PDUS} outputs completed", sends.len()));
+    }
+    // Every damaged or intact arrival returned the cells it drained,
+    // and every starvation episode gave back what it withheld.
+    let credits = w.host_mut(HostId::A).adapter.credits_mut(vc).available();
+    if credits != CREDIT_LIMIT {
+        return fail(format!(
+            "sender vc {}: {credits}/{CREDIT_LIMIT} credits at quiesce",
+            vc.0
+        ));
     }
 
     let oracle = w.oracle().expect("oracle enabled");
@@ -335,7 +346,7 @@ fn run_switched_scenario(
     );
     cfg.rx_buffering = arch;
     cfg.frames_per_host = 320;
-    cfg.credit_limit = 256;
+    cfg.credit_limit = CREDIT_LIMIT;
     cfg.fault = fault;
     let mut w = World::new(cfg);
     w.enable_oracle();
@@ -475,6 +486,20 @@ fn run_switched_scenario(
     let sends = w.take_completed_outputs();
     if sends.len() != total {
         return fail(format!("{}/{total} outputs completed", sends.len()));
+    }
+
+    // Every uplink's credits came home from the switch ingress.
+    for &(src, vc, _dst) in &routes {
+        let credits = w
+            .host_mut(HostId(src))
+            .adapter
+            .credits_mut(Vc(vc))
+            .available();
+        if credits != CREDIT_LIMIT {
+            return fail(format!(
+                "host {src} vc {vc}: {credits}/{CREDIT_LIMIT} uplink credits at quiesce"
+            ));
+        }
     }
 
     // The switch itself must be quiescent and balanced: ingress
