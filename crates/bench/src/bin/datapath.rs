@@ -108,6 +108,48 @@ fn main() {
     }
 
     {
+        // Fan-in waves, the shape a switched star gives the queue:
+        // ten same-instant bursts of 63 events (one per spoke of a
+        // 64-host star) with a few pops between bursts, then a drain
+        // to empty in which a third of the pops schedule a follow-up
+        // a short hop later or, one time in eight, earlier than the
+        // instant just popped (a lagging host clock). Each wave fills
+        // past 600 pending and drains to none, so every call crosses
+        // the queue's grow and shrink thresholds. The generator is
+        // reseeded per call, so every call does identical work.
+        let mut q = EventQueue::new();
+        results.push(time_named("datapath/event_fanin_waves", iters(200), || {
+            let mut rng = 0x5eed_fa11_u64;
+            let mut last_pop = 0u64;
+            for _ in 0..4 {
+                let start = last_pop + 50_000_000;
+                for burst in 0..10u64 {
+                    let t = SimTime(start + burst * 2_000_000);
+                    for spoke in 0..63u64 {
+                        q.push(t, spoke);
+                    }
+                    for _ in 0..xorshift64(&mut rng) % 4 {
+                        let (t, _) = q.pop().expect("burst entry");
+                        last_pop = t.0;
+                    }
+                }
+                while let Some((t, e)) = q.pop() {
+                    last_pop = t.0;
+                    let r = xorshift64(&mut rng);
+                    if r.is_multiple_of(3) {
+                        let at = if r.is_multiple_of(8) {
+                            t.0.saturating_sub(r % 3_000_000)
+                        } else {
+                            t.0 + r % 1_000_000 + 1
+                        };
+                        q.push(SimTime(at), e);
+                    }
+                }
+            }
+        }));
+    }
+
+    {
         // The schedule shape a loaded switch generates: bursts of
         // same-instant PortDrain arbitrations across several output
         // ports, each pop immediately rescheduling a short busy_until

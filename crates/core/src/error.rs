@@ -29,6 +29,14 @@ pub enum GenieError {
     CreditStall,
     /// Header checksum mismatch detected on input.
     ChecksumMismatch,
+    /// The switch's routing table has no entry for traffic from
+    /// `host` on `vc`.
+    NoRoute {
+        /// Sending host.
+        host: u16,
+        /// Virtual circuit.
+        vc: u32,
+    },
 }
 
 impl From<VmError> for GenieError {
@@ -58,6 +66,7 @@ impl fmt::Display for GenieError {
             GenieError::Empty => write!(f, "zero-length I/O"),
             GenieError::CreditStall => write!(f, "sender exhausted credits"),
             GenieError::ChecksumMismatch => write!(f, "checksum mismatch"),
+            GenieError::NoRoute { host, vc } => write!(f, "no route from host {host} on vc {vc}"),
         }
     }
 }

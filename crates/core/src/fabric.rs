@@ -31,11 +31,27 @@
 use std::collections::VecDeque;
 
 use genie_machine::{Op, SimTime};
-use genie_net::{SwitchedPdu, Vc, WirePdu};
+use genie_net::{SwitchedPdu, Vc};
 
+use crate::error::GenieError;
 use crate::world::{Event, FabricState, HostId, World};
 
 impl World {
+    /// Refuses a send the fabric cannot carry: a switched world needs
+    /// a routing-table entry for `(from, vc)`. Any VC crosses the
+    /// passthrough wire.
+    pub(crate) fn check_route(&self, from: HostId, vc: Vc) -> Result<(), GenieError> {
+        match &self.fabric {
+            FabricState::Switched(sw) if sw.route(from.0, vc.0).is_empty() => {
+                Err(GenieError::NoRoute {
+                    host: from.0,
+                    vc: vc.0,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Puts a PDU on its first hop: the only builder of the first-hop
     /// event. It arrives at `pdu.ingress_at` — at the peer's adapter in
     /// a passthrough world, at the switch's ingress otherwise. A `None`
@@ -134,30 +150,15 @@ impl World {
         let FabricState::Switched(sw) = &mut self.fabric else {
             unreachable!("switch ingress event in a passthrough world");
         };
-        let dsts = sw.route(from.0, vc.0).to_vec();
-        let Some((&last, copies)) = dsts.split_last() else {
-            panic!("no route from host {} on vc {}", from.0, vc.0);
-        };
-        sw.note_ingress(copies.len());
-        // Fan-out replicates the wire image at ingress; the original
-        // moves into the last copy. An idle port starts draining; a
-        // non-empty port already has a drain pending (a stall retry or
-        // a credit-return wake), so one event per busy spell is enough.
-        for &dst in copies {
-            let copy = SwitchedPdu {
-                payload: pdu
-                    .payload
-                    .as_ref()
-                    .map(|p| WirePdu::new(vc.0, p.payload().to_vec())),
-                ..pdu
-            };
-            if sw.enqueue(dst, copy, time) == 1 {
-                self.events.push(time, Event::PortDrain { port: dst });
-            }
-        }
-        if sw.enqueue(last, pdu, time) == 1 {
-            self.events.push(time, Event::PortDrain { port: last });
-        }
+        // An idle port starts draining; a non-empty port already has a
+        // drain pending (a stall retry or a credit-return wake), so one
+        // event per busy spell is enough.
+        let events = &mut self.events;
+        let routed = sw.ingress(pdu, time, |port| {
+            events.push(time, Event::PortDrain { port });
+        });
+        // `output` refuses unrouted VCs, so every PDU here has a route.
+        assert!(routed, "no route from host {} on vc {}", from.0, vc.0);
     }
 
     /// Dispatch PDUs from an output port's FIFO onto its egress link

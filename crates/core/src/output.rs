@@ -88,6 +88,7 @@ impl World {
         if req.len + HEADER_LEN > AAL5_MAX_PAYLOAD {
             return Err(GenieError::TooLong(req.len));
         }
+        self.check_route(from, req.vc)?;
         let invoked_at = self.host(from).clock;
         let effective = self.effective_output_semantics(req.semantics, req.len);
         let seq = self.next_seq(req.vc);

@@ -754,10 +754,12 @@ impl World {
 mod tests {
     use super::*;
 
-    /// Every pending event is stored at the size of the largest
-    /// variant, so event size is event-queue memory traffic. On a
-    /// 2-vCPU Xeon VM, a 104-byte `Event` cost perfbench's `cq_rpc`
-    /// about 4% of its datagrams/s against 96 bytes.
+    /// Each pending event is stored once, in the event queue's slab,
+    /// at the size of the largest variant: push moves it in and pop
+    /// moves it out. On a 2-vCPU Xeon VM, a 104-byte `Event` cost
+    /// perfbench's `cq_rpc` about 4% of its datagrams/s against 96
+    /// bytes, measured with a queue that also moved and scanned whole
+    /// events in its buckets.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn events_stay_within_96_bytes() {

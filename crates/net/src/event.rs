@@ -1,39 +1,53 @@
 //! Deterministic discrete-event queue.
 //!
-//! A bucketed **calendar queue** keyed by [`SimTime`], with FIFO
-//! ordering among events scheduled for the same instant (a strict
-//! requirement for reproducible experiments).
+//! Events pop in `(time, insertion order)`: FIFO among events
+//! scheduled for the same instant, a strict requirement for
+//! reproducible experiments.
 //!
-//! Layout: `nbuckets` (a power of two) buckets, each a flat `Vec` of
-//! entries; an event at tick `t` lives in bucket
-//! `(t >> width_bits) & (nbuckets - 1)`, i.e. bucket width is a power
-//! of two in SimTime ticks. Ordering is by `(time, seq)` where `seq`
-//! is a monotonic push counter, so events pushed for the same instant
-//! pop in push order — exactly the order the previous binary-heap
-//! implementation produced.
+//! Each event is parked once, on push, in a free-listed slab and stays
+//! there until pop takes it out. What the queue orders are 24-byte keys
+//! `(time, seq, slot)`, where `seq` is a monotonic push counter (the
+//! tie-break) and `slot` names the event's slab entry.
 //!
-//! Pop walks at most one calendar "year" (one lap over the buckets)
-//! from a maintained lower-bound bucket hint; if the whole year is
-//! empty it falls back to a direct scan for the global minimum and
-//! jumps the hint there (the standard calendar-queue sparse-event
-//! escape). The queue resizes lazily: when occupancy leaves the
-//! `[nbuckets/4, 2*nbuckets]` band the bucket array doubles or halves
-//! and the bucket width is re-derived from the span of pending times,
-//! keeping the expected cost of push and pop O(1).
+//! The keys are spread over a calendar of `nbuckets` (a power of two)
+//! buckets: a key at tick `t` lives in bucket
+//! `(t >> width_bits) & (nbuckets - 1)`, and each bucket is a binary
+//! min-heap, so a bucket's smallest key is always at its top and a pop
+//! never scans a bucket. Pop walks at most one calendar "year" of
+//! bucket tops from a lower-bound hint; the first top that falls in
+//! the year being walked is the global minimum, and a year with
+//! nothing due takes the smallest of the bucket tops. A single heap is
+//! popped directly.
+//!
+//! The calendar is sized for `BUCKET_KEYS` (256) keys per bucket on
+//! average, so every queue the simulator builds sits in one heap or a
+//! few. It doubles when the average passes twice that and halves when
+//! it falls below a quarter of it; the band is wide enough that a
+//! queue filling and draining in waves rebuilds a few times per wave,
+//! not every few dozen pops. A rebuild re-derives the bucket width
+//! from the span of pending times so one year covers the pending set.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use genie_machine::SimTime;
 
-/// Initial bucket count (power of two).
-const MIN_BUCKETS: usize = 4;
+/// Average keys per bucket the calendar is sized for.
+const BUCKET_KEYS: usize = 256;
 /// Initial log2 of the bucket width in ticks (1 µs = 2^20 ticks ≈ us).
 const INITIAL_WIDTH_BITS: u32 = 20;
 
 /// A deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<Vec<Entry<E>>>,
+    /// Calendar buckets, each a min-heap of keys.
+    buckets: Vec<BinaryHeap<Reverse<Key>>>,
     /// log2 of the bucket width in ticks.
     width_bits: u32,
+    /// Parked events, indexed by `Key::slot`; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused last-freed first.
+    free: Vec<u32>,
     /// Total pending events.
     len: usize,
     /// Monotonic push counter breaking same-instant ties FIFO.
@@ -44,19 +58,52 @@ pub struct EventQueue<E> {
     peak_len: usize,
 }
 
-#[derive(Debug)]
-struct Entry<E> {
+/// A pending event's place in the order: `(time, seq)`. `seq` is
+/// unique, so two keys never tie and `slot` takes no part.
+#[derive(Clone, Copy, Debug)]
+struct Key {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+
+impl Key {
+    /// `(time, seq)` as one integer, so a comparison is a single
+    /// branch-free 128-bit compare.
+    #[inline]
+    fn order(&self) -> u128 {
+        (u128::from(self.time.0) << 64) | u128::from(self.seq)
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Key {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.order().cmp(&other.order())
+    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![BinaryHeap::new()],
             width_bits: INITIAL_WIDTH_BITS,
+            slab: Vec::new(),
+            free: Vec::new(),
             len: 0,
             seq: 0,
             floor_vidx: 0,
@@ -76,38 +123,67 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at `time`.
+    #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.len + 1 > self.buckets.len() * 2 {
+        if self.len >= 2 * BUCKET_KEYS * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
         }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("event slab exceeds u32 slots");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        let key = Key {
+            time,
+            seq: self.seq,
+            slot,
+        };
+        self.seq += 1;
         let v = self.vidx(time);
         if self.len == 0 || v < self.floor_vidx {
             self.floor_vidx = v;
         }
-        let idx = (v & self.mask()) as usize;
-        self.buckets[idx].push(Entry { time, seq, event });
+        let bucket = (v & self.mask()) as usize;
+        self.buckets[bucket].push(Reverse(key));
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Pops the earliest event (FIFO among ties).
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (bucket, pos, vmin) = self.locate_min()?;
-        self.floor_vidx = vmin;
-        let e = self.buckets[bucket].swap_remove(pos);
+        // A single heap needs no walk, and its floor hint stays a
+        // valid lower bound without upkeep (a resize recomputes it).
+        let bucket = if self.buckets.len() == 1 {
+            0
+        } else {
+            let (bucket, vmin) = self.locate_min()?;
+            self.floor_vidx = vmin;
+            bucket
+        };
+        let Reverse(key) = self.buckets[bucket].pop()?;
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("every pending key owns a parked event");
+        self.free.push(key.slot);
         self.len -= 1;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
+        let n = self.buckets.len();
+        if n > 1 && self.len < BUCKET_KEYS * n / 4 {
+            self.resize(n / 2);
         }
-        Some((e.time, e.event))
+        Some((key.time, event))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate_min()
-            .map(|(bucket, pos, _)| self.buckets[bucket][pos].time)
+        let (bucket, _) = self.locate_min()?;
+        self.buckets[bucket].peek().map(|Reverse(k)| k.time)
     }
 
     /// True if no events are pending.
@@ -126,84 +202,70 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
-    /// Finds the minimum `(time, seq)` entry: `(bucket index, position
-    /// in bucket, virtual bucket index)`. Walks one calendar year from
-    /// the floor hint; on a fully empty year, falls back to a direct
-    /// scan of every bucket.
-    fn locate_min(&self) -> Option<(usize, usize, u64)> {
+    /// Finds the bucket whose top is the minimum `(time, seq)` key:
+    /// `(bucket index, virtual bucket index of that key)`. Walks one
+    /// calendar year of bucket tops from the floor hint; a year with
+    /// nothing due takes the smallest top.
+    fn locate_min(&self) -> Option<(usize, u64)> {
         if self.len == 0 {
             return None;
         }
-        let n = self.buckets.len() as u64;
         let mask = self.mask();
-        // One lap: the first virtual bucket (in calendar order from the
-        // floor) that owns an entry contains the global minimum,
-        // because the floor is a true lower bound.
-        for i in 0..n {
+        // The first virtual bucket (in calendar order from the floor)
+        // whose top falls in it holds the global minimum: the floor is
+        // a true lower bound, so no bucket walked earlier holds a key
+        // due before it.
+        for i in 0..=mask {
             let Some(v) = self.floor_vidx.checked_add(i) else {
-                break; // virtual index overflow: use the direct scan
+                break; // virtual index overflow: take the smallest top
             };
             let bucket = (v & mask) as usize;
-            let mut best: Option<usize> = None;
-            for (pos, e) in self.buckets[bucket].iter().enumerate() {
-                if self.vidx(e.time) == v
-                    && best.is_none_or(|b| {
-                        let cur = &self.buckets[bucket][b];
-                        (e.time, e.seq) < (cur.time, cur.seq)
-                    })
-                {
-                    best = Some(pos);
-                }
-            }
-            if let Some(pos) = best {
-                return Some((bucket, pos, v));
-            }
-        }
-        // Sparse year: direct search for the global minimum.
-        let mut best: Option<(usize, usize)> = None;
-        for (bucket, entries) in self.buckets.iter().enumerate() {
-            for (pos, e) in entries.iter().enumerate() {
-                if best.is_none_or(|(bb, bp)| {
-                    let cur = &self.buckets[bb][bp];
-                    (e.time, e.seq) < (cur.time, cur.seq)
-                }) {
-                    best = Some((bucket, pos));
+            if let Some(Reverse(top)) = self.buckets[bucket].peek() {
+                if self.vidx(top.time) == v {
+                    return Some((bucket, v));
                 }
             }
         }
-        best.map(|(bucket, pos)| {
-            let v = self.vidx(self.buckets[bucket][pos].time);
-            (bucket, pos, v)
-        })
+        let (bucket, Reverse(top)) = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(b, heap)| heap.peek().map(|top| (b, top)))
+            .max_by_key(|&(_, top)| top)?;
+        Some((bucket, self.vidx(top.time)))
     }
 
-    /// Rebuilds the bucket array at `new_n` buckets (a power of two),
+    /// Rebuilds the calendar at `new_n` buckets (a power of two),
     /// re-deriving the bucket width from the span of pending times so
-    /// one calendar year roughly covers the pending set.
+    /// one calendar year roughly covers the pending set. Events stay
+    /// where they are in the slab; only keys move. Kept out of line so
+    /// `push` and `pop` stay small enough to inline into their callers.
+    #[cold]
+    #[inline(never)]
     fn resize(&mut self, new_n: usize) {
-        let new_n = new_n.max(MIN_BUCKETS);
-        let old = std::mem::take(&mut self.buckets);
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in old.iter().flatten() {
-            lo = lo.min(e.time.0);
-            hi = hi.max(e.time.0);
+        let mut keys: Vec<Reverse<Key>> = Vec::with_capacity(self.len);
+        for heap in self.buckets.drain(..) {
+            keys.extend(heap.into_vec());
         }
+        let (lo, hi) = keys.iter().fold((u64::MAX, 0u64), |(lo, hi), Reverse(k)| {
+            (lo.min(k.time.0), hi.max(k.time.0))
+        });
         if lo <= hi {
             // Width = pow2 ceiling of span / new_n, clamped so the
             // shift stays meaningful.
             let span = (hi - lo).max(1);
             let per_bucket = (span / new_n as u64).max(1);
             self.width_bits = (64 - per_bucket.leading_zeros()).min(40);
+            self.floor_vidx = lo >> self.width_bits;
         }
-        self.buckets = (0..new_n).map(|_| Vec::new()).collect();
-        let mask = self.mask();
-        let mut floor = u64::MAX;
-        for e in old.into_iter().flatten() {
-            let v = self.vidx(e.time);
-            floor = floor.min(v);
-            self.buckets[(v & mask) as usize].push(e);
+        let mask = new_n as u64 - 1;
+        let mut spread: Vec<Vec<Reverse<Key>>> = (0..new_n)
+            .map(|_| Vec::with_capacity(2 * self.len / new_n + 1))
+            .collect();
+        for key in keys {
+            spread[((key.0.time.0 >> self.width_bits) & mask) as usize].push(key);
         }
-        self.floor_vidx = if floor == u64::MAX { 0 } else { floor };
+        self.buckets = spread.into_iter().map(BinaryHeap::from).collect();
     }
 }
 
@@ -250,8 +312,8 @@ mod tests {
         assert!(!q.is_empty());
     }
 
-    /// The binary-heap queue this calendar queue replaced, kept as the
-    /// ordering oracle for the equivalence test below.
+    /// The plain binary-heap queue the calendar replaced, kept as the
+    /// ordering oracle for the equivalence tests below.
     mod reference {
         use super::SimTime;
         use std::cmp::Reverse;
@@ -299,6 +361,12 @@ mod tests {
             }
             pub fn pop(&mut self) -> Option<(SimTime, E)> {
                 self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+            }
+            pub fn peek_time(&self) -> Option<SimTime> {
+                self.heap.peek().map(|Reverse(e)| e.time)
+            }
+            pub fn len(&self) -> usize {
+                self.heap.len()
             }
         }
     }
@@ -361,6 +429,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn push_both(
+        heap: &mut reference::HeapQueue<u32>,
+        cal: &mut EventQueue<u32>,
+        t: SimTime,
+        id: &mut u32,
+        peak: &mut usize,
+    ) {
+        heap.push(t, *id);
+        cal.push(t, *id);
+        *id += 1;
+        *peak = (*peak).max(heap.len());
+        assert_eq!(cal.peek_time(), heap.peek_time());
+    }
+
+    fn pop_both(
+        heap: &mut reference::HeapQueue<u32>,
+        cal: &mut EventQueue<u32>,
+    ) -> Option<(SimTime, u32)> {
+        let got = cal.pop();
+        assert_eq!(got, heap.pop());
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        got
+    }
+
+    /// Fan-in waves, the traffic a switched star gives the queue and
+    /// the randomized schedule above never produces: each wave pushes
+    /// ten same-instant bursts of 63 events (one per spoke of a 64-host
+    /// star) with a few pops between bursts, then drains to empty while
+    /// a third of the pops schedule a follow-up, a short hop later or,
+    /// one time in eight, earlier than the instant just popped. Every
+    /// wave fills past the grow threshold and drains below the shrink
+    /// threshold; pop order and `peek_time` must match the reference
+    /// heap after every operation, and `peak_len` its high-water mark.
+    #[test]
+    fn equivalent_to_binary_heap_on_fanin_waves() {
+        let mut heap = reference::HeapQueue::new();
+        let mut cal = EventQueue::new();
+        let mut rng = 0x5eed_fa11_u64;
+        let (mut id, mut peak, mut last_pop) = (0u32, 0usize, 0u64);
+        for wave in 0..24 {
+            let start = last_pop + 50_000_000;
+            for burst in 0..10u64 {
+                let t = SimTime(start + burst * 2_000_000);
+                for _ in 0..63 {
+                    push_both(&mut heap, &mut cal, t, &mut id, &mut peak);
+                }
+                for _ in 0..xorshift64(&mut rng) % 4 {
+                    if let Some((t, _)) = pop_both(&mut heap, &mut cal) {
+                        last_pop = t.0;
+                    }
+                }
+            }
+            assert!(cal.buckets.len() > 1, "wave {wave} never grew the calendar");
+            while let Some((t, _)) = pop_both(&mut heap, &mut cal) {
+                last_pop = t.0;
+                let r = xorshift64(&mut rng);
+                if r.is_multiple_of(3) {
+                    let at = if r.is_multiple_of(8) {
+                        t.0.saturating_sub(r % 3_000_000)
+                    } else {
+                        t.0 + r % 1_000_000 + 1
+                    };
+                    push_both(&mut heap, &mut cal, SimTime(at), &mut id, &mut peak);
+                }
+            }
+            assert_eq!(cal.buckets.len(), 1, "wave {wave} left the calendar grown");
+        }
+        assert_eq!(cal.peak_len(), peak);
+        assert_eq!(cal.slab.len(), peak, "freed slab slots are reused");
     }
 
     /// Pushing earlier than an already-popped instant must still pop

@@ -218,6 +218,19 @@ struct Port {
     series: PortSeries,
 }
 
+impl Port {
+    /// Appends `pdu` to the FIFO; returns the new depth.
+    fn enqueue(&mut self, pdu: SwitchedPdu, now: SimTime, observe: bool) -> usize {
+        self.queue.push_back(pdu);
+        let depth = self.queue.len();
+        self.max_depth = self.max_depth.max(depth as u64);
+        if observe {
+            self.series.record(now, PortSampleKind::Depth, depth as u64);
+        }
+        depth
+    }
+}
+
 /// Aggregate switch counters (sums over ports plus ingress counts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SwitchStats {
@@ -316,24 +329,44 @@ impl Switch {
         self.routes.iter().map(|(k, v)| (*k, v.as_slice()))
     }
 
-    /// Records an ingress PDU (`replicas` extra multicast copies).
-    pub fn note_ingress(&mut self, replicas: usize) {
+    /// Accepts a PDU at ingress at simulated time `now`: routes it by
+    /// `(src, vc)` and appends it to each destination port's FIFO. A
+    /// multicast route replicates the wire image, and the original
+    /// moves into the last destination. `started` is called with each
+    /// port whose FIFO was empty before, so the caller can start its
+    /// drain. Returns false, and drops the PDU, when the routing table
+    /// has no entry for it.
+    pub fn ingress(
+        &mut self,
+        pdu: SwitchedPdu,
+        now: SimTime,
+        mut started: impl FnMut(u16),
+    ) -> bool {
+        let Some((&last, copies)) = self
+            .routes
+            .get(&(pdu.src, pdu.vc))
+            .and_then(|dsts| dsts.split_last())
+        else {
+            return false;
+        };
         self.pdus_ingress += 1;
-        self.pdus_replicated += replicas as u64;
-    }
-
-    /// Appends a PDU to an output port's FIFO at simulated time `now`;
-    /// returns the new depth.
-    pub fn enqueue(&mut self, port: u16, pdu: SwitchedPdu, now: SimTime) -> usize {
-        let observe = self.observe;
-        let p = &mut self.ports[port as usize];
-        p.queue.push_back(pdu);
-        let depth = p.queue.len();
-        p.max_depth = p.max_depth.max(depth as u64);
-        if observe {
-            p.series.record(now, PortSampleKind::Depth, depth as u64);
+        self.pdus_replicated += copies.len() as u64;
+        for &dst in copies {
+            let copy = SwitchedPdu {
+                payload: pdu
+                    .payload
+                    .as_ref()
+                    .map(|p| WirePdu::new(pdu.vc, p.payload().to_vec())),
+                ..pdu
+            };
+            if self.ports[dst as usize].enqueue(copy, now, self.observe) == 1 {
+                started(dst);
+            }
         }
-        depth
+        if self.ports[last as usize].enqueue(pdu, now, self.observe) == 1 {
+            started(last);
+        }
+        true
     }
 
     /// The head of a port's FIFO.
@@ -492,8 +525,8 @@ mod tests {
     #[test]
     fn port_fifo_preserves_order_and_tracks_depth() {
         let mut sw = Switch::new(&SwitchConfig::new(2, 64).route(0, 1, &[1]));
-        sw.enqueue(1, pdu(0, 1, 10), SimTime::ZERO);
-        sw.enqueue(1, pdu(0, 1, 11), SimTime::ZERO);
+        assert!(sw.ingress(pdu(0, 1, 10), SimTime::ZERO, |_| {}));
+        assert!(sw.ingress(pdu(0, 1, 11), SimTime::ZERO, |_| {}));
         assert_eq!(sw.queue_len(1), 2);
         assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().token, 10);
         assert_eq!(sw.pop(1, SimTime::ZERO).unwrap().token, 11);
@@ -529,9 +562,7 @@ mod tests {
     #[test]
     fn stats_aggregate_across_ports() {
         let mut sw = Switch::new(&SwitchConfig::new(3, 1).route(0, 1, &[1, 2]));
-        sw.note_ingress(1);
-        sw.enqueue(1, pdu(0, 1, 10), SimTime::ZERO);
-        sw.enqueue(2, pdu(0, 1, 10), SimTime::ZERO);
+        assert!(sw.ingress(pdu(0, 1, 10), SimTime::ZERO, |_| {}));
         assert!(sw.try_consume_credits(1, 1, 1, SimTime::ZERO));
         assert!(!sw.try_consume_credits(1, 1, 2, SimTime::ZERO));
         sw.pop(1, SimTime::ZERO);
@@ -544,12 +575,34 @@ mod tests {
     }
 
     #[test]
+    fn ingress_replicates_multicast_and_starts_only_idle_ports() {
+        let mut sw = Switch::new(&SwitchConfig::new(3, 64).route(0, 1, &[1, 2]));
+        let wire = |token| SwitchedPdu {
+            payload: Some(WirePdu::new(1, vec![token as u8; 40])),
+            ..pdu(0, 1, token)
+        };
+        let mut started = Vec::new();
+        assert!(sw.ingress(wire(10), SimTime::ZERO, |p| started.push(p)));
+        assert!(sw.ingress(wire(11), SimTime::ZERO, |p| started.push(p)));
+        assert_eq!(started, [1, 2], "only the first PDU finds the ports idle");
+        for port in [1, 2] {
+            let head = sw.pop(port, SimTime::ZERO).expect("replica");
+            assert_eq!(head.token, 10);
+            assert_eq!(head.payload.expect("intact").payload(), &[10u8; 40]);
+        }
+        assert!(!sw.ingress(pdu(0, 9, 12), SimTime::ZERO, |p| started.push(p)));
+        assert_eq!(started, [1, 2]);
+        let s = sw.stats();
+        assert_eq!((s.pdus_ingress, s.pdus_replicated), (2, 2));
+    }
+
+    #[test]
     fn observation_records_port_series_without_touching_counters() {
         let mk = |observe: bool| {
             let mut sw = Switch::new(&SwitchConfig::new(2, 2).route(0, 1, &[1]));
             sw.set_observe(observe);
-            sw.enqueue(1, pdu(0, 1, 10), SimTime::from_us(1.0));
-            sw.enqueue(1, pdu(0, 1, 11), SimTime::from_us(2.0));
+            assert!(sw.ingress(pdu(0, 1, 10), SimTime::from_us(1.0), |_| {}));
+            assert!(sw.ingress(pdu(0, 1, 11), SimTime::from_us(2.0), |_| {}));
             assert!(sw.try_consume_credits(1, 1, 2, SimTime::from_us(3.0)));
             assert!(!sw.try_consume_credits(1, 1, 2, SimTime::from_us(4.0)));
             sw.pop(1, SimTime::from_us(5.0));
@@ -582,7 +635,7 @@ mod tests {
         let mut sw = Switch::new(&SwitchConfig::new(2, 64).route(0, 1, &[1]));
         sw.set_observe(true);
         for i in 0..(PORT_SERIES_CAP as u64 + 50) {
-            sw.enqueue(1, pdu(0, 1, i), SimTime::from_ps(i));
+            assert!(sw.ingress(pdu(0, 1, i), SimTime::from_ps(i), |_| {}));
             sw.pop(1, SimTime::from_ps(i));
         }
         let series = sw.port_series(1);

@@ -3,7 +3,8 @@
 //! and maximum-size datagrams.
 
 use genie::{GenieError, HostId, InputRequest, OutputRequest, Semantics, World, WorldConfig};
-use genie_net::{InputBuffering, Vc, HEADER_LEN};
+use genie_machine::MachineSpec;
+use genie_net::{InputBuffering, SwitchConfig, Vc, HEADER_LEN};
 
 #[test]
 fn unsolicited_datagram_is_backlogged_then_delivered() {
@@ -290,4 +291,57 @@ fn distinct_vcs_do_not_interfere() {
     let read = |w: &mut World, va| w.read_app(HostId::B, rx, va, 1000).expect("read");
     assert!(read(&mut world, d1).iter().all(|&b| b == 7));
     assert!(read(&mut world, d2).iter().all(|&b| b == 9));
+}
+
+#[test]
+fn send_on_an_unrouted_vc_is_refused_before_any_charge() {
+    // A three-port switch that routes only host 0's VC 1 (to host 1).
+    // A send on VC 9 has nowhere to go: `output` must refuse it with a
+    // typed error before charging the host, and the world must keep
+    // running and carrying routed traffic afterwards.
+    let sw = SwitchConfig::new(3, 64).route(0, 1, &[1]);
+    let mut world = World::new(WorldConfig::switched(MachineSpec::micron_p166(), 3, sw));
+    let tx = world.create_process(HostId(0));
+    let rx = world.create_process(HostId(1));
+    let data = vec![0x5au8; 2048];
+    let src = world
+        .alloc_buffer(HostId(0), tx, data.len(), 0)
+        .expect("src");
+    world.app_write(HostId(0), tx, src, &data).expect("fill");
+    let (clock, busy) = (
+        world.host(HostId(0)).clock,
+        world.host(HostId(0)).ledger.busy(),
+    );
+    let refused = world.output(
+        HostId(0),
+        OutputRequest::new(Semantics::Copy, Vc(9), tx, src, data.len()),
+    );
+    assert_eq!(refused, Err(GenieError::NoRoute { host: 0, vc: 9 }));
+    assert_eq!(world.host(HostId(0)).clock, clock, "nothing charged");
+    assert_eq!(world.host(HostId(0)).ledger.busy(), busy);
+    world.run();
+
+    let dst = world
+        .alloc_buffer(HostId(1), rx, data.len(), 0)
+        .expect("dst");
+    world
+        .input(
+            HostId(1),
+            InputRequest::app(Semantics::Copy, Vc(1), rx, dst, data.len()),
+        )
+        .expect("input");
+    world
+        .output(
+            HostId(0),
+            OutputRequest::new(Semantics::Copy, Vc(1), tx, src, data.len()),
+        )
+        .expect("routed output");
+    world.run();
+    let done = world.take_completed_inputs();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].seq, 0);
+    let got = world
+        .read_app(HostId(1), rx, done[0].vaddr, done[0].len)
+        .expect("read");
+    assert_eq!(got, data);
 }
